@@ -129,6 +129,7 @@ class BoundaryMesh:
         self._v1 = None
         self._mirror_done = False
         self._mirror = None
+        self._adjacent = {}
 
     @property
     def n(self):
@@ -149,6 +150,15 @@ class BoundaryMesh:
         if self._v1 is None:
             self._v1 = assemble_V(1.0, self)
         return self._v1
+
+    def adjacent_plan(self, rows):
+        """Cached s-independent geometry of the touching pairs of rows
+        (see _adjacent_geometry); every frequency reuses it."""
+        key = tuple(int(i) for i in rows)
+        got = self._adjacent.get(key)
+        if got is None:
+            got = self._adjacent[key] = _adjacent_geometry(self, key)
+        return got
 
     def mirror_permutation(self):
         """Panel permutation of a reflection symmetry of the mesh, or None.
@@ -293,30 +303,27 @@ def _diag_values(s, mesh):
     return out
 
 
-def _adjacent_entries(s, mesh, pairs):
-    """Graded-quadrature V and Kd entries for ordered touching pairs.
+def _adjacent_geometry(mesh, rows):
+    """s-independent geometry of the touching pairs (i, i+1), (i, i-1), i in rows.
 
-    pairs: list of (i, j) with panel j preceding or following panel i on
-    the curve.  x runs over panel i (test), y over panel j (trial); the
-    kernel normal is that of panel j.
+    Returns the shared vertex v, the far ends fi, fj of the test and trial
+    panels, the trial normal nj and both lengths for one representative
+    per congruence class, and back, the class of every pair in order.
     """
-    npair = len(pairs)
-    v = np.empty((npair, 2))
-    fi = np.empty((npair, 2))
-    fj = np.empty((npair, 2))
-    nj = np.empty((npair, 2))
-    li = np.empty(npair)
-    lj = np.empty(npair)
-    for k, (i, j) in enumerate(pairs):
-        if np.allclose(mesh.b[i], mesh.a[j], rtol=0, atol=1e-13):
-            v[k], fi[k], fj[k] = mesh.b[i], mesh.a[i], mesh.b[j]
-        elif np.allclose(mesh.a[i], mesh.b[j], rtol=0, atol=1e-13):
-            v[k], fi[k], fj[k] = mesh.a[i], mesh.b[i], mesh.a[j]
-        else:
-            raise ValueError("panels %d,%d do not share a vertex" % (i, j))
-        nj[k] = mesh.normal[j]
-        li[k] = mesh.length[i]
-        lj[k] = mesh.length[j]
+    n = mesh.n
+    rows = np.asarray(rows, dtype=int)
+    i = np.repeat(rows, 2)
+    j = np.stack([(rows + 1) % n, (rows - 1) % n], axis=1).ravel()
+    fwd = np.all(np.abs(mesh.b[i] - mesh.a[j]) <= 1e-13, axis=1)
+    bwd = np.all(np.abs(mesh.a[i] - mesh.b[j]) <= 1e-13, axis=1)
+    if not np.all(fwd | bwd):
+        k = np.argmin(fwd | bwd)
+        raise ValueError("panels %d,%d do not share a vertex" % (i[k], j[k]))
+    f = fwd[:, None]
+    v = np.where(f, mesh.b[i], mesh.a[i])
+    fi = np.where(f, mesh.a[i], mesh.b[i])
+    fj = np.where(f, mesh.b[j], mesh.a[j])
+    nj = mesh.normal[j]
     # Congruent pairs (same local geometry up to a rigid motion) give the
     # same integrals, so evaluate one representative per congruence class.
     # With a = fi - v, b = fj - v the class is fixed by the lengths and the
@@ -336,7 +343,7 @@ def _adjacent_entries(s, mesh, pairs):
     )
     classes = {}
     rep = []
-    back = np.empty(npair, dtype=int)
+    back = np.empty(i.size, dtype=int)
     for k, row in enumerate(np.round(inv, 12)):
         key = tuple(row)
         if key not in classes:
@@ -344,7 +351,17 @@ def _adjacent_entries(s, mesh, pairs):
             rep.append(k)
         back[k] = classes[key]
     rep = np.asarray(rep, dtype=int)
-    v, fi, fj, nj, li, lj = v[rep], fi[rep], fj[rep], nj[rep], li[rep], lj[rep]
+    return v[rep], fi[rep], fj[rep], nj[rep], mesh.length[i[rep]], mesh.length[j[rep]], back
+
+
+def _adjacent_entries(s, mesh, rows):
+    """Graded-quadrature V and Kd entries for the touching pairs (i, i+1)
+    and (i, i-1) of every i in rows, in that order.
+
+    x runs over panel i (test), y over the neighbour j (trial); the kernel
+    normal is that of panel j.
+    """
+    v, fi, fj, nj, li, lj, back = mesh.adjacent_plan(rows)
     lmax = max(li.max(), lj.max())
     orders = tuple(_far_order(s, sp * lmax) for sp in _GRADE_SPANS)
     xi, eta, wq = _graded_square(orders)
@@ -458,9 +475,21 @@ def _far_field_pairs(s, mesh, iu, ju, V, Kd):
             )
 
 
+def _near_entries(s, mesh, rows, V, Kd):
+    """Write the touching-pair and diagonal entries of rows into V and Kd."""
+    n = mesh.n
+    vadj, kadj = _adjacent_entries(s, mesh, rows)
+    nxt, prv = (rows + 1) % n, (rows - 1) % n
+    V[rows, nxt], V[rows, prv] = vadj[0::2], vadj[1::2]
+    Kd[rows, nxt], Kd[rows, prv] = kadj[0::2], kadj[1::2]
+    V[rows, rows] = _diag_values(s, mesh)[rows]
+    Kd[rows, rows] = 0.0
+
+
 def _assemble_rows(s, mesh, rows):
     """V and Kd entries for the given test-panel rows against all panels."""
     n = mesh.n
+    rows = np.asarray(rows, dtype=int)
     Vf = np.zeros((n, n), dtype=complex)
     Kf = np.zeros((n, n), dtype=complex)
     iu, ju = [], []
@@ -471,21 +500,8 @@ def _assemble_rows(s, mesh, rows):
         iu.append(np.full(ju[-1].size, i))
     iu, ju = np.concatenate(iu), np.concatenate(ju)
     _far_field_pairs(s, mesh, iu, ju, Vf, Kf)
-    V = Vf[rows]
-    Kd = Kf[rows]
-
-    pairs = []
-    for i in rows:
-        pairs += [(i, (i + 1) % n), (i, (i - 1) % n)]
-    vadj, kadj = _adjacent_entries(s, mesh, pairs)
-    for k, i in enumerate(rows):
-        V[k, (i + 1) % n], V[k, (i - 1) % n] = vadj[2 * k], vadj[2 * k + 1]
-        Kd[k, (i + 1) % n], Kd[k, (i - 1) % n] = kadj[2 * k], kadj[2 * k + 1]
-    diag = _diag_values(s, mesh)
-    for k, i in enumerate(rows):
-        V[k, i] = diag[i]
-        Kd[k, i] = 0.0
-    return V, Kd
+    _near_entries(s, mesh, rows, Vf, Kf)
+    return Vf[rows], Kf[rows]
 
 
 def _assemble_full(s, mesh):
@@ -542,17 +558,7 @@ def _assemble_full(s, mesh):
         V[sj, si] = V[mi, mj]
         Kd[si, sj] = Kd[mi, mj]
         Kd[sj, si] = Kd[mj, mi]
-
-    pairs = []
-    for i in range(n):
-        pairs += [(i, (i + 1) % n), (i, (i - 1) % n)]
-    vadj, kadj = _adjacent_entries(s, mesh, pairs)
-    for i in range(n):
-        V[i, (i + 1) % n], V[i, (i - 1) % n] = vadj[2 * i], vadj[2 * i + 1]
-        Kd[i, (i + 1) % n], Kd[i, (i - 1) % n] = kadj[2 * i], kadj[2 * i + 1]
-    diag = _diag_values(s, mesh)
-    V[np.arange(n), np.arange(n)] = diag
-    Kd[np.arange(n), np.arange(n)] = 0.0
+    _near_entries(s, mesh, np.arange(n), V, Kd)
     return V, Kd
 
 
@@ -601,7 +607,6 @@ class BemTransfer:
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
     data to the outward normal derivative of the exterior solution.
-    Factorized results are cached per frequency (12-digit key, capped).
     """
 
     def __init__(self, mesh, operator):
@@ -610,7 +615,6 @@ class BemTransfer:
             raise ValueError("unknown operator %r" % operator)
         self.mesh = mesh
         self.operator = op
-        self._cache = {}
 
     def __getstate__(self):
         return {"mesh": mesh_to_json(self.mesh), "operator": self.operator}
@@ -618,24 +622,13 @@ class BemTransfer:
     def __setstate__(self, state):
         self.mesh = mesh_from_json(state["mesh"])
         self.operator = state["operator"]
-        self._cache = {}
 
     def __call__(self, s):
-        s = complex(s)
-        key = "%.12e_%.12e" % (s.real, s.imag)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         V, Kd = assemble_pair(s, self.mesh)
         M = mass_matrix(self.mesh)
         if self.operator == "inverse_single_layer":
-            out = np.linalg.solve(V, M.astype(complex))
-        else:
-            out = np.linalg.solve(V, -0.5 * M + Kd)
-        if len(self._cache) >= 64:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = out
-        return out
+            return np.linalg.solve(V, M.astype(complex))
+        return np.linalg.solve(V, -0.5 * M + Kd)
 
 
 def make_transfer(problem, mesh=None):

@@ -418,10 +418,7 @@ def _run_cell(cfg, reference=None):
 
 def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cache=None):
     """Run a preset's cells and write per-cell CSV plus an index JSON."""
-    os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    refs = {}
-    ref_seconds = 0.0
+    cfgs = []
     for cfg in preset_configs(table):
         over = {}
         if panels is not None and cfg.experiment == "bem_convergence":
@@ -435,6 +432,14 @@ def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cach
         if over:
             cfg = ExperimentConfig(**{**cfg.to_dict(), **over,
                                       "N_list": cfg.N_list, "m_range": cfg.m_range})
+        # reject bad grids in every cell before any reference solve starts
+        _check_grids(cfg)
+        cfgs.append(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    cells = []
+    refs = {}
+    ref_seconds = 0.0
+    for cfg in cfgs:
         reference = None
         if cfg.experiment == "bem_convergence":
             key = bem_reference_key(cfg)

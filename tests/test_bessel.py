@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from rkcq import bessel
 from rkcq.bessel import bessel_k0, bessel_k1, k0k1
 
 mpmath.mp.dps = 30
@@ -105,3 +106,48 @@ def test_large_imaginary_argument_against_reference():
         w0, w1 = _mp_k0k1(z)
         assert abs(k0[0] - w0) / abs(w0) < 5e-12
         assert abs(k1[0] - w1) / abs(w1) < 5e-12
+
+
+def test_asymptotic_depths_stop_before_the_smallest_term():
+    # the terms of the large-argument expansion shrink while
+    # |4 nu^2 - (2k-1)^2| / (8 k |z|) < 1; at each band's lower edge that
+    # holds up to the band's depth, so the fixed depth sums exactly the
+    # terms a per-entry smallest-term truncation would
+    lo = 16.5
+    for hi, terms in bessel._ASYM_BANDS:
+        k = np.arange(1, terms + 1)
+        for nu in (0, 1):
+            ratio = np.abs(4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * lo)
+            assert ratio.max() < 1.0, (lo, terms, nu)
+        lo = hi
+
+
+def test_series_depths_cover_each_band():
+    # series terms q^k / k!^2 (q = z^2/4) shrink once k^2 > |q|; at each
+    # band's upper edge, the worst case, the terms are already shrinking
+    # at the band's depth and the first dropped term is negligible
+    for hi, kmax in bessel._SERIES_BANDS:
+        r = min(hi, 8.5)  # the series regime ends at |z| + Re z = 8.5
+        k = np.arange(kmax + 2)
+        terms = np.exp(2 * k * np.log(r / 2.0) - 2 * sps.gammaln(k + 1.0))
+        assert (r / 2.0) ** 2 / (kmax + 1) ** 2 < 1.0, (hi, kmax)
+        assert terms[-1] < 1e-17 * terms.max(), (hi, kmax)
+
+
+def test_regime_switches_near_the_imaginary_axis():
+    # both sides of the series / scipy switch (|z| + Re z = 8.5) and of the
+    # scipy / asymptotic switch (|z| = 16.5) where cancellation is worst
+    pts = []
+    for a in (1.55, -1.55):
+        r8 = 8.5 / (1.0 + np.cos(a))
+        for r in (0.99 * r8, 1.01 * r8, 16.4, 16.6):
+            pts.append(r * np.exp(1j * a))
+    z = np.array(pts)
+    az = np.abs(z)
+    assert np.count_nonzero(az + z.real <= 8.5) == 2
+    assert np.count_nonzero(az >= 16.5) == 2
+    k0, k1 = k0k1(z)
+    for zi, a0, a1 in zip(z, k0, k1):
+        w0, w1 = _mp_k0k1(zi)
+        assert abs(a0 - w0) / abs(w0) < 5e-12, zi
+        assert abs(a1 - w1) / abs(w1) < 5e-12, zi

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from rkcq import harness
 from rkcq.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -99,6 +100,18 @@ def test_scalar_convergence_validates_grids_and_datum():
                             datum="traveling_gaussian")
     with pytest.raises(ValueError, match="sin_pow_exp"):
         run_scalar_convergence(bad2)
+
+
+def test_run_table_checks_grids_before_reference(tmp_path, monkeypatch):
+    # N_list (15, 21, ...) does not divide N_ref = 20: the table must fail
+    # in milliseconds, before the boundary-element reference is computed
+    def no_reference(cfg):
+        raise AssertionError("reference solved before the grids were checked")
+
+    monkeypatch.setattr(harness, "bem_reference_solution", no_reference)
+    with pytest.raises(ValueError, match="divide"):
+        harness.run_table("table4", str(tmp_path / "out"), panels=16, nref=20)
+    assert not (tmp_path / "out").exists()
 
 
 def test_weights_cache_reuse(tmp_path):
