@@ -14,7 +14,9 @@ Quadrature: 8x8 tensorized Gauss-Legendre for well-separated panel pairs,
 a 4-level geometrically graded subdivision toward the shared vertex for
 panels that touch, and a closed-form treatment of the log singularity on
 the diagonal.  The unit-circle mesh is rotation-invariant, so its matrices
-are circulant and only the first row is assembled.
+are symmetric circulant and only the first row is assembled; the discrete
+Fourier modes diagonalize every operator there, and BemTransfer.symbol
+returns the transfer operator's eigenvalues on the real-FFT lanes.
 """
 
 import json
@@ -38,6 +40,7 @@ __all__ = [
     "mass_matrix",
     "BemTransfer",
     "make_transfer",
+    "make_mode_transfer",
     "hminus_half_norm",
     "error_metric",
 ]
@@ -134,6 +137,12 @@ class BoundaryMesh:
     @property
     def n(self):
         return len(self.panels)
+
+    @property
+    def circulant(self):
+        """True when the mesh is rotation-invariant, so that V, Kd and M
+        are symmetric circulant (the unit circle)."""
+        return self.kind == "unit_circle"
 
     def gl_points(self, order=8):
         """order-point Gauss-Legendre nodes and weights on every panel."""
@@ -354,9 +363,10 @@ def _adjacent_geometry(mesh, rows):
     return v[rep], fi[rep], fj[rep], nj[rep], mesh.length[i[rep]], mesh.length[j[rep]], back
 
 
-def _adjacent_entries(s, mesh, rows):
+def _adjacent_entries(s, mesh, rows, with_kd=True):
     """Graded-quadrature V and Kd entries for the touching pairs (i, i+1)
-    and (i, i-1) of every i in rows, in that order.
+    and (i, i-1) of every i in rows, in that order (Kd None without
+    with_kd).
 
     x runs over panel i (test), y over the neighbour j (trial); the kernel
     normal is that of panel j.
@@ -369,11 +379,14 @@ def _adjacent_entries(s, mesh, rows):
     Y = v[:, None, :] + eta[None, :, None] * (fj - v)[:, None, :]
     dv = Y - X
     R = np.linalg.norm(dv, axis=2)
+    scale = li * lj / (2.0 * np.pi)
+    if not with_kd:
+        k0v = bessel_k0(s * R.ravel()).reshape(R.shape)
+        return (scale * np.einsum("p,ap->a", wq, k0v))[back], None
     k0v, k1v = k0k1(s * R.ravel())
     k0v = k0v.reshape(R.shape)
     k1v = k1v.reshape(R.shape)
     dot = np.einsum("apd,ad->ap", dv, nj) / R
-    scale = li * lj / (2.0 * np.pi)
     vvals = scale * np.einsum("p,ap->a", wq, k0v)
     kvals = -s * scale * np.einsum("p,ap->a", wq, k1v * dot)
     return vvals[back], kvals[back]
@@ -385,13 +398,17 @@ def _adjacent_entries(s, mesh, rows):
 _DEAD_EXPONENT = 60.0
 
 
-def _masked_k0k1(s, R):
-    # evaluate both kernels on the live lanes only; dead lanes stay zero
+def _masked_kernels(s, R, with_kd):
+    # evaluate K0 (and K1 with_kd) on the live lanes only; dead lanes stay
+    # zero, and k1v is None without with_kd
     live = s.real * R <= _DEAD_EXPONENT
     k0v = np.zeros(R.shape, dtype=complex)
-    k1v = np.zeros(R.shape, dtype=complex)
+    k1v = np.zeros(R.shape, dtype=complex) if with_kd else None
     if np.any(live):
-        k0v[live], k1v[live] = k0k1(s * R[live])
+        if with_kd:
+            k0v[live], k1v[live] = k0k1(s * R[live])
+        else:
+            k0v[live] = bessel_k0(s * R[live])
     return k0v, k1v
 
 
@@ -453,7 +470,8 @@ def _pair_orders(s, mesh, iu, ju):
 
 def _far_field_pairs(s, mesh, iu, ju, V, Kd):
     """Smooth-kernel V and Kd entries for the given non-touching ordered
-    pairs, scattered into V[iu, ju] and Kd[iu, ju] (one orientation)."""
+    pairs, scattered into V[iu, ju] and Kd[iu, ju] (one orientation); Kd
+    None assembles V alone."""
     orders, rmin = _pair_orders(s, mesh, iu, ju)
     live = s.real * rmin <= _DEAD_EXPONENT
     iu, ju, orders = iu[live], ju[live], orders[live]
@@ -466,9 +484,11 @@ def _far_field_pairs(s, mesh, iu, ju, V, Kd):
             i0, j0 = ic[p0 : p0 + chunk], jc[p0 : p0 + chunk]
             dv = P[j0][:, None, :, :] - P[i0][:, :, None, :]
             R = np.linalg.norm(dv, axis=3)
-            k0v, k1v = _masked_k0k1(s, R)
+            k0v, k1v = _masked_kernels(s, R, Kd is not None)
             Wi, Wj = W[i0], W[j0]
             V[i0, j0] = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
+            if Kd is None:
+                continue
             dot = np.einsum("pghd,pd->pgh", dv, mesh.normal[j0]) / R
             Kd[i0, j0] = -s / (2.0 * np.pi) * np.einsum(
                 "pg,ph,pgh->p", Wi, Wj, k1v * dot
@@ -476,36 +496,40 @@ def _far_field_pairs(s, mesh, iu, ju, V, Kd):
 
 
 def _near_entries(s, mesh, rows, V, Kd):
-    """Write the touching-pair and diagonal entries of rows into V and Kd."""
+    """Write the touching-pair and diagonal entries of rows into V and Kd
+    (V alone when Kd is None)."""
     n = mesh.n
-    vadj, kadj = _adjacent_entries(s, mesh, rows)
+    vadj, kadj = _adjacent_entries(s, mesh, rows, with_kd=Kd is not None)
     nxt, prv = (rows + 1) % n, (rows - 1) % n
     V[rows, nxt], V[rows, prv] = vadj[0::2], vadj[1::2]
-    Kd[rows, nxt], Kd[rows, prv] = kadj[0::2], kadj[1::2]
     V[rows, rows] = _diag_values(s, mesh)[rows]
-    Kd[rows, rows] = 0.0
+    if Kd is not None:
+        Kd[rows, nxt], Kd[rows, prv] = kadj[0::2], kadj[1::2]
+        Kd[rows, rows] = 0.0
 
 
-def _assemble_rows(s, mesh, rows):
-    """V and Kd entries for the given test-panel rows against all panels."""
+def _circulant_row(s, mesh, with_kd=True):
+    """First rows of V and Kd on a circulant mesh (Kd None without with_kd).
+
+    The reflection through panel 0's midpoint maps panel d onto panel
+    n - d and keeps |x - y| and the normal-derivative factor, so entry
+    n - d of each row equals entry d: the far field is integrated for
+    2 <= d <= n/2 only.
+    """
     n = mesh.n
-    rows = np.asarray(rows, dtype=int)
-    Vf = np.zeros((n, n), dtype=complex)
-    Kf = np.zeros((n, n), dtype=complex)
-    iu, ju = [], []
-    for i in rows:
-        far = np.ones(n, dtype=bool)
-        far[[i, (i + 1) % n, (i - 1) % n]] = False
-        ju.append(np.nonzero(far)[0])
-        iu.append(np.full(ju[-1].size, i))
-    iu, ju = np.concatenate(iu), np.concatenate(ju)
-    _far_field_pairs(s, mesh, iu, ju, Vf, Kf)
-    _near_entries(s, mesh, rows, Vf, Kf)
-    return Vf[rows], Kf[rows]
+    V = np.zeros((1, n), dtype=complex)
+    Kd = np.zeros((1, n), dtype=complex) if with_kd else None
+    ju = np.arange(2, n // 2 + 1)
+    _far_field_pairs(s, mesh, np.zeros_like(ju), ju, V, Kd)
+    for M in (V, Kd):
+        if M is not None:
+            M[0, n - ju] = M[0, ju]
+    _near_entries(s, mesh, np.array([0]), V, Kd)
+    return V[0], None if Kd is None else Kd[0]
 
 
-def _assemble_full(s, mesh):
-    """Dense V and Kd over all panel pairs.
+def _assemble_full(s, mesh, with_kd=True):
+    """Dense V and Kd over all panel pairs (Kd None without with_kd).
 
     The smooth far-field work runs on the unordered pair triangle only: R is
     symmetric, so one K0/K1 evaluation serves V_ij = V_ji and both Kd
@@ -517,7 +541,7 @@ def _assemble_full(s, mesh):
     near = (iu == ju) | (ju - iu == 1) | ((iu == 0) & (ju == n - 1))
     iu, ju = iu[~near], ju[~near]
     V = np.zeros((n, n), dtype=complex)
-    Kd = np.zeros((n, n), dtype=complex)
+    Kd = np.zeros((n, n), dtype=complex) if with_kd else None
     # a reflection symmetry of the mesh makes mirrored pairs redundant:
     # |x - y| and (y - x) . n_y are reflection invariants, so only orbit
     # representatives need quadrature
@@ -541,43 +565,62 @@ def _assemble_full(s, mesh):
             ic, jc = io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
             dv = P[jc][:, None, :, :] - P[ic][:, :, None, :]
             R = np.linalg.norm(dv, axis=3)
-            k0v, k1v = _masked_k0k1(s, R)
+            k0v, k1v = _masked_kernels(s, R, with_kd)
             Wi, Wj = W[ic], W[jc]
             vp = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
+            V[ic, jc] = vp
+            V[jc, ic] = vp
+            if not with_kd:
+                continue
             dotu = np.einsum("pghd,pd->pgh", dv, mesh.normal[jc]) / R
             dotl = -np.einsum("pghd,pd->pgh", dv, mesh.normal[ic]) / R
             ku = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu)
             kl = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)
-            V[ic, jc] = vp
-            V[jc, ic] = vp
             Kd[ic, jc] = ku
             Kd[jc, ic] = kl
     if sig is not None:
         si, sj = sig[mi], sig[mj]
         V[si, sj] = V[mi, mj]
         V[sj, si] = V[mi, mj]
-        Kd[si, sj] = Kd[mi, mj]
-        Kd[sj, si] = Kd[mj, mi]
+        if with_kd:
+            Kd[si, sj] = Kd[mi, mj]
+            Kd[sj, si] = Kd[mj, mi]
     _near_entries(s, mesh, np.arange(n), V, Kd)
     return V, Kd
 
 
-def assemble_pair(s, mesh):
-    """Assemble (V(s), Kd(s)) in one pass; circulant fast path on the circle."""
+def _frequency(s):
     s = complex(s)
     if s.real <= 0:
         raise ValueError("assembly requires Re s > 0")
-    n = mesh.n
-    if mesh.kind == "unit_circle":
-        rowV, rowK = _assemble_rows(s, mesh, [0])
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return rowV[0][idx], rowK[0][idx]
+    return s
+
+
+def _circulant(row):
+    """The circulant matrix C_ij = row[(j - i) mod n]."""
+    n = row.size
+    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def assemble_pair(s, mesh):
+    """Assemble (V(s), Kd(s)) in one pass; circulant fast path on the circle."""
+    s = _frequency(s)
+    if mesh.circulant:
+        rowV, rowK = _circulant_row(s, mesh)
+        return _circulant(rowV), _circulant(rowK)
     return _assemble_full(s, mesh)
 
 
 def assemble_V(s, mesh):
-    """Galerkin single-layer matrix V_ij = (1/2pi) int_i int_j K0(s|x-y|)."""
-    return assemble_pair(s, mesh)[0]
+    """Galerkin single-layer matrix V_ij = (1/2pi) int_i int_j K0(s|x-y|).
+
+    Only K0 is evaluated; the result equals assemble_pair(s, mesh)[0] bit
+    for bit.
+    """
+    s = _frequency(s)
+    if mesh.circulant:
+        return _circulant(_circulant_row(s, mesh, with_kd=False)[0])
+    return _assemble_full(s, mesh, with_kd=False)[0]
 
 
 def assemble_Kd(s, mesh):
@@ -606,7 +649,9 @@ class BemTransfer:
 
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
-    data to the outward normal derivative of the exterior solution.
+    data to the outward normal derivative of the exterior solution.  On a
+    circulant mesh the matrix is built from symbol(s), without a dense
+    solve.
     """
 
     def __init__(self, mesh, operator):
@@ -623,7 +668,42 @@ class BemTransfer:
         self.mesh = mesh_from_json(state["mesh"])
         self.operator = state["operator"]
 
+    def symbol(self, s):
+        """Eigenvalues of the operator on the real-FFT lanes k = 0..n//2.
+
+        Circulant meshes only.  Lane k multiplies Fourier modes k and n - k
+        of panel data g (the operator is symmetric), so for real s it acts
+        as irfft(symbol(s) * rfft(g), n).  From the first rows v, kd of
+        V(s) and Kd(s) (panel length ell, M = ell I):
+
+            inverse_single_layer:  ell / fft(v)
+            exterior_dtn:          (-ell/2 + fft(kd)) / fft(v)
+
+        The single layer assembles V alone (K0 only).  s may be an array;
+        the result has shape np.shape(s) + (n//2 + 1,).
+        """
+        mesh = self.mesh
+        if not mesh.circulant:
+            raise ValueError("symbol needs a circulant mesh, got %r" % mesh.kind)
+        lanes = mesh.n // 2 + 1
+        ell = mesh.length[0]
+        sv = np.asarray(s, dtype=complex)
+        out = np.empty(sv.shape + (lanes,), dtype=complex)
+        for idx in np.ndindex(sv.shape):
+            si = _frequency(sv[idx])
+            if self.operator == "inverse_single_layer":
+                rowV, _ = _circulant_row(si, mesh, with_kd=False)
+                out[idx] = ell / np.fft.fft(rowV)[:lanes]
+            else:
+                rowV, rowK = _circulant_row(si, mesh)
+                out[idx] = (-0.5 * ell + np.fft.fft(rowK)[:lanes]) / np.fft.fft(rowV)[:lanes]
+        return out
+
     def __call__(self, s):
+        if self.mesh.circulant:
+            lam = self.symbol(s)
+            full = np.concatenate([lam, lam[1 : (self.mesh.n + 1) // 2][::-1]])
+            return _circulant(np.fft.ifft(full))
         V, Kd = assemble_pair(s, self.mesh)
         M = mass_matrix(self.mesh)
         if self.operator == "inverse_single_layer":
@@ -632,7 +712,8 @@ class BemTransfer:
 
 
 def make_transfer(problem, mesh=None):
-    """TransferFunction for the problem's frequency-domain operator."""
+    """TransferFunction for the problem's frequency-domain operator: s -> the
+    dense n x n matrix on any mesh."""
     if mesh is None:
         mesh = make_mesh(problem.geometry, problem.n_panels)
     fn = BemTransfer(mesh, problem.operator)
@@ -644,6 +725,28 @@ def make_transfer(problem, mesh=None):
         bound=None,
         key="bem_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
         conj_symmetric=True,
+    )
+
+
+def make_mode_transfer(problem, mesh):
+    """Diagonal TransferFunction of the problem's operator on a circulant
+    mesh: s -> BemTransfer.symbol(s), one lane per real-FFT mode.
+
+    Its weights are (N+1, m, m, n//2 + 1); apply them to rfft'd stage data
+    and irfft the traces (see rkcq.engine).
+    """
+    if not mesh.circulant:
+        raise ValueError("mode transfer needs a circulant mesh, got %r" % mesh.kind)
+    fn = BemTransfer(mesh, problem.operator)
+    return TransferFunction(
+        fn=fn.symbol,
+        dim=1,
+        mu=2.0,
+        sigma0=0.1,
+        bound=None,
+        key="bem_modes_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
+        conj_symmetric=True,
+        lanes=mesh.n // 2 + 1,
     )
 
 

@@ -82,30 +82,37 @@ def _horner(coef, x):
     return out
 
 
-def _series_k0k1(z, kmax):
-    """Ascending series for K0, K1; accurate while |z| + Re z is moderate."""
-    a, b, c, d = _horner(_SERIES_COEF[kmax], z * z / 4.0)
+def _series_k(z, kmax, rows):
+    """Ascending series for K0 (rows 2) or K0, K1 (rows 4); accurate while
+    |z| + Re z is moderate."""
+    sums = _horner(_SERIES_COEF[kmax][:rows], z * z / 4.0)
     lg = np.log(z) + (_EULER_GAMMA - np.log(2.0))
-    return b - lg * a, 1.0 / z + z * (lg * c - d)
+    k0 = sums[1] - lg * sums[0]
+    if rows == 2:
+        return (k0,)
+    return k0, 1.0 / z + z * (lg * sums[2] - sums[3])
 
 
-def _asym_k0k1(z, terms):
-    """Large-argument expansion to a fixed depth."""
+def _asym_k(z, terms, rows):
+    """Large-argument expansion of K0 (rows 1) or K0, K1 (rows 2) to a
+    fixed depth."""
     w = 1.0 / z
-    s0, s1 = _horner(_ASYM_COEF[terms], w)
+    sums = _horner(_ASYM_COEF[terms][:rows], w)
     pref = np.sqrt(w) * np.exp(-z)
-    return pref * s0, pref * s1
+    return tuple(pref * sk for sk in sums)
 
 
-def k0k1(z):
-    """K0(z) and K1(z) for Re z > 0, elementwise on arrays."""
+def _bessel_k(z, orders):
+    """K0 (orders 1) or K0 and K1 (orders 2) for Re z > 0, elementwise.
+
+    Each K0 value is computed by the same operations whether or not K1 is
+    asked for, so both give it bit for bit.
+    """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
     zf = np.atleast_1d(z).ravel()
     if np.any(zf.real <= 0):
         raise ValueError("K0/K1 evaluation requires Re z > 0")
-    k0 = np.zeros_like(zf)
-    k1 = np.zeros_like(zf)
+    out = [np.zeros_like(zf) for _ in range(orders)]
 
     live = zf.real <= 700.0
     az = np.abs(zf)
@@ -113,29 +120,33 @@ def k0k1(z):
     m_asy = live & ~m_ser & (az >= 16.5)
     m_mid = live & ~m_ser & ~m_asy
 
-    for mask, bands, evaluate in ((m_ser, _SERIES_BANDS, _series_k0k1),
-                                  (m_asy, _ASYM_BANDS, _asym_k0k1)):
+    for mask, bands, evaluate, rows in ((m_ser, _SERIES_BANDS, _series_k, 2 * orders),
+                                        (m_asy, _ASYM_BANDS, _asym_k, orders)):
         lo = 0.0
         for hi, depth in bands:
             m = mask & (az > lo) & (az <= hi)
             if m.any():
-                k0[m], k1[m] = evaluate(zf[m], depth)
+                for k, val in zip(out, evaluate(zf[m], depth, rows)):
+                    k[m] = val
             lo = hi
     if m_mid.any():
         zm = zf[m_mid]
-        k0[m_mid] = scipy.special.kv(0, zm)
-        k1[m_mid] = scipy.special.kv(1, zm)
+        for nu, k in enumerate(out):
+            k[m_mid] = scipy.special.kv(nu, zm)
 
-    k0 = k0.reshape(np.shape(z))
-    k1 = k1.reshape(np.shape(z))
-    if scalar:
-        return complex(k0), complex(k1)
-    return k0, k1
+    if z.ndim == 0:
+        return tuple(complex(k[0]) for k in out)
+    return tuple(k.reshape(z.shape) for k in out)
+
+
+def k0k1(z):
+    """K0(z) and K1(z) for Re z > 0, elementwise on arrays."""
+    return _bessel_k(z, 2)
 
 
 def bessel_k0(z):
-    """Modified Bessel function K0(z), Re z > 0."""
-    return k0k1(z)[0]
+    """Modified Bessel function K0(z), Re z > 0 (K1 is not computed)."""
+    return _bessel_k(z, 1)[0]
 
 
 def bessel_k1(z):

@@ -12,9 +12,25 @@ eps**(-N/(2L)); the default eps = 1e-24 keeps the aliasing floor at 1e-12
 while the amplification stays <= 1e3, which measurement shows is required for
 weight-level accuracy near 1e-9 (kernels with non-decaying weight tails sit
 exactly on the aliasing floor).
+
+Kernel shapes.  A scalar kernel (dim 1) is evaluated elementwise on every
+contour node at once; its weights are (N+1, m, m) blocks.  A diagonal
+kernel carries a trailing lane axis: it declares lanes = k, and fn maps a
+complex ndarray of shape S to shape S + (k,), the operator's eigenvalues
+in a fixed basis that diagonalizes it at every s (for a rotation-invariant
+boundary mesh, the discrete Fourier modes).  Each lane is an independent
+scalar kernel, so the same vectorized path computes weights of shape
+(N+1, m, m, k), and apply_cq takes stage samples and returns traces in the
+lane basis; a scalar kernel is the one-lane case.  A dense kernel
+(dim n > 1) maps one s to an (n, n) matrix and has (N+1, m n, m n)
+weights.  All three share the contour checks: cond(Delta), the
+eigenvector condition number, the sigma0 warning and the identity-kernel
+sanity check.
 """
 
+import functools
 import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,6 +44,7 @@ __all__ = [
     "CQWeightSet",
     "delta_matrix",
     "transfer_of_matrix",
+    "weights_shape",
     "compute_weights",
     "apply_cq",
     "sample_stage_signal",
@@ -41,8 +58,10 @@ __all__ = [
 class TransferFunction:
     """Transfer function K(s), analytic for Re s >= sigma0 with |K| <= M|s|^mu.
 
-    For dim == 1, fn maps a complex ndarray to an ndarray elementwise. For
-    dim == n > 1, fn maps a single complex s to an (n, n) matrix. Kernels with
+    For dim == 1, fn maps a complex ndarray to an ndarray elementwise; with
+    lanes = k set, it maps shape S to S + (k,), one scalar kernel per lane
+    of a diagonal operator (see the module docstring). For dim == n > 1, fn
+    maps a single complex s to an (n, n) matrix. Kernels with
     K(conj s) = conj(K(s)) (every kernel with a real time-domain response)
     should keep conj_symmetric True: only the upper half of the FFT circle is
     evaluated and the weights come out real.
@@ -55,6 +74,7 @@ class TransferFunction:
     bound: float = None
     key: str = None
     conj_symmetric: bool = True
+    lanes: int = None
 
     def __call__(self, s):
         return self.fn(s)
@@ -63,7 +83,11 @@ class TransferFunction:
 @dataclass
 class CQWeightSet:
     """Stage-block weights W_j, the post-stage coefficients gamma_j, and the
-    recursion data needed to apply the discrete convolution."""
+    recursion data needed to apply the discrete convolution.
+
+    W is (N+1, m dim, m dim), or (N+1, m, m, lanes) for a diagonal kernel;
+    key is the kernel's key.
+    """
 
     h: float
     N: int
@@ -73,6 +97,7 @@ class CQWeightSet:
     gamma: np.ndarray
     r_infinity: float
     eps: float
+    key: str = None
 
 
 def delta_matrix(tab, zeta):
@@ -115,6 +140,15 @@ def _eval_kernel_stack(fn, svals):
     return [np.asarray(fn(s), dtype=complex) for s in svals]
 
 
+def _pool_map(fn, flat, threads):
+    # evaluate fn on chunks of the contour nodes in worker processes; the
+    # results come back in node order
+    chunks = np.array_split(np.arange(flat.size), threads * 4)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futs = [pool.submit(fn, flat[ix]) for ix in chunks]
+        return [f.result() for f in futs]
+
+
 def _hermitian_dft(Fh, L, N, chunk=1 << 22):
     # forward DFT of a Hermitian-symmetric spectrum, real output, column-chunked
     # to bound peak memory (Fh holds rows l = 0..L/2)
@@ -129,17 +163,29 @@ def _hermitian_dft(Fh, L, N, chunk=1 << 22):
     return W
 
 
+def weights_shape(K, tab, N):
+    """Shape of the weight tensor compute_weights returns for K, tab, N."""
+    m = tab.m
+    if K.lanes is not None:
+        return (N + 1, m, m, K.lanes)
+    return (N + 1, m * K.dim, m * K.dim)
+
+
 def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
     """Convolution quadrature weights of K for tableau tab, step h, N steps.
 
-    Returns a CQWeightSet with W of shape (N+1, m*dim, m*dim), real when the
-    kernel is conjugate-symmetric, and gamma of shape (N+1, m).
+    Returns a CQWeightSet with W of shape weights_shape(K, tab, N), real
+    when the kernel is conjugate-symmetric, and gamma of shape (N+1, m).
+    With threads > 1, matrix and diagonal kernels are evaluated on the
+    contour nodes in that many worker processes (fn must be picklable).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if h * K.sigma0 > 1.0:
         warnings.warn("h*sigma0 = %.3g > 1; step too coarse for this kernel" % (h * K.sigma0))
     if not K.conj_symmetric:
+        if K.lanes is not None:
+            raise ValueError("diagonal (lane) kernels must be conjugate-symmetric")
         return _compute_weights_full_circle(K, tab, h, N, eps)
     m = tab.m
     n = K.dim
@@ -165,16 +211,20 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
         )
 
     if n == 1:
-        Kv = np.asarray(K.fn(s), dtype=complex)
-        Fh = np.einsum("lai,li,lib->lab", E, Kv, Einv)
+        # scalar and diagonal kernels: every lane is a scalar kernel, and
+        # K(Z/h) = E diag(K(w/h)) E^{-1} lane by lane
+        lanes = 1 if K.lanes is None else K.lanes
+        if threads > 1 and K.lanes is not None:
+            Kv = np.concatenate(_pool_map(K.fn, s.ravel(), threads))
+        else:
+            Kv = np.asarray(K.fn(s), dtype=complex)
+        Kv = Kv.reshape(Lh, m, lanes)
+        Fh = np.einsum("lai,lik,lib->labk", E, Kv, Einv)
     else:
         Fh = np.empty((Lh, m * n, m * n), dtype=complex)
         if threads > 1:
-            flat = s.ravel()
-            chunks = np.array_split(np.arange(flat.size), threads * 4)
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                futs = [pool.submit(_eval_kernel_stack, K.fn, flat[ix]) for ix in chunks]
-                vals = [v for f in futs for v in f.result()]
+            vals = [v for part in _pool_map(functools.partial(_eval_kernel_stack, K.fn),
+                                            s.ravel(), threads) for v in part]
             Kst = np.stack(vals).reshape(Lh, m, n, n)
             for l in range(Lh):
                 Fh[l] = np.einsum("ai,ib,icd->acbd", E[l], Einv[l], Kst[l]).reshape(m * n, m * n)
@@ -185,10 +235,10 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
 
     W = _hermitian_dft(Fh.reshape(Lh, -1), L, N)
     W *= (lam ** -np.arange(N + 1))[:, None] / L
-    W = W.reshape(N + 1, m * n, m * n)
+    W = W.reshape(weights_shape(K, tab, N))
 
     _identity_sanity(tab, E, Einv, L, lam, N)
-    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps)
+    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps, K.key)
 
 
 def _compute_weights_full_circle(K, tab, h, N, eps):
@@ -201,7 +251,7 @@ def _compute_weights_full_circle(K, tab, h, N, eps):
         F[l] = transfer_of_matrix(K, delta_matrix(tab, zeta), h)
     W = np.fft.fft(F, axis=0)[: N + 1]
     W *= (lam ** -np.arange(N + 1))[:, None, None] / L
-    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps)
+    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps, K.key)
 
 
 def _identity_sanity(tab, E, Einv, L, lam, N):
@@ -230,20 +280,25 @@ def _gamma_coeffs(tab, N):
 def apply_cq(wset, stage_samples):
     """Apply the discrete convolution to stage samples g(t_j + c h).
 
-    stage_samples has shape (N+1, m) for scalar kernels or (N+1, m, n).
-    Returns grid values u_0..u_N, shape (N+1,) or (N+1, n). u_n depends only
-    on samples at steps <= n.
+    stage_samples has shape (N+1, m) for scalar kernels, (N+1, m, n) for
+    matrix kernels and (N+1, m, lanes) for diagonal kernels, in their lane
+    basis. Returns grid values u_0..u_N, shape (N+1,), (N+1, n) or
+    (N+1, lanes). u_n depends only on samples at steps <= n.
     """
-    N, m, n = wset.N, wset.tableau.m, wset.dim
+    N, m = wset.N, wset.tableau.m
     g = np.asarray(stage_samples)
     scalar = g.ndim == 2
-    gh = g.reshape(N + 1, m * n)
-    U = np.zeros((N + 1, m * n), dtype=np.result_type(wset.W, gh))
+    if wset.W.ndim == 4:
+        W, gh = wset.W, g
+    else:
+        # a scalar or matrix kernel is one lane of m dim stage unknowns
+        W, gh = wset.W[..., None], g.reshape(N + 1, -1, 1)
+    U = np.zeros(gh.shape, dtype=np.result_type(W, gh))
     for k in range(N + 1):
-        U[k] = np.einsum("jab,jb->a", wset.W[: k + 1][::-1], gh[: k + 1])
+        U[k] = np.einsum("jabk,jbk->ak", W[: k + 1][::-1], gh[: k + 1])
     v = np.linalg.solve(wset.tableau.A.T, wset.tableau.b)
-    vU = np.einsum("i,jio->jo", v, U.reshape(N + 1, m, n))
-    u = np.zeros((N + 1, n), dtype=U.dtype)
+    vU = np.einsum("i,jio->jo", v, U.reshape(N + 1, m, -1))
+    u = np.zeros(vU.shape, dtype=U.dtype)
     for k in range(1, N + 1):
         u[k] = wset.r_infinity * u[k - 1] + vU[k - 1]
     if np.isrealobj(wset.W) and np.isrealobj(g):
@@ -271,28 +326,40 @@ def scalar_reference_solution(K, g, T, N_ref, tab, eps=1e-24):
 
 
 def save_weights(wset, path):
-    """Store a weight set as an .npz artifact."""
+    """Store a weight set as an .npz artifact at path.
+
+    The file is written under a temporary name and moved into place, so a
+    run killed mid-write leaves no truncated artifact at path.
+    """
     meta = {
         "h": wset.h,
         "N": wset.N,
         "dim": wset.dim,
         "r_infinity": wset.r_infinity,
         "eps": wset.eps,
+        "key": wset.key,
         "tableau": tableau_to_json(wset.tableau),
     }
-    np.savez(path, W=wset.W, gamma=wset.gamma, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        np.savez(f, W=wset.W, gamma=wset.gamma,
+                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    os.replace(tmp, path)
 
 
 def load_weights(path):
-    d = np.load(path)
-    meta = json.loads(d["meta"].tobytes().decode())
+    with np.load(path) as d:
+        meta = json.loads(d["meta"].tobytes().decode())
+        W, gamma = d["W"], d["gamma"]
     return CQWeightSet(
         meta["h"],
         meta["N"],
         tableau_from_json(meta["tableau"]),
         meta["dim"],
-        d["W"],
-        d["gamma"],
+        W,
+        gamma,
         meta["r_infinity"],
         meta["eps"],
+        meta.get("key"),
     )

@@ -7,16 +7,19 @@ index).  Presets table1..table5 reproduce the published scalar and
 boundary-element convergence studies at desk scale.
 """
 
+import hashlib
 import json
 import os
+import re
 import time
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import stability
-from .bem import ScatteringProblem, error_metric, make_mesh, make_transfer
+from .bem import ScatteringProblem, error_metric, make_mesh, make_mode_transfer, make_transfer
 from .engine import (
     apply_cq,
     compute_weights,
@@ -24,11 +27,13 @@ from .engine import (
     sample_stage_signal,
     save_weights,
     scalar_reference_solution,
+    weights_shape,
 )
 from .kernels import DATA, kmu_transfer, sin_pow_exp
 from .tableaux import (
     gauss_tableau,
     radau_iia_tableau,
+    tableau_to_json,
     verify_invertibility_and_simplicity,
     verify_eigenvector_nondegeneracy,
 )
@@ -130,21 +135,51 @@ def _check_grids(cfg):
             raise ValueError("N_t=%d does not divide N_ref=%d" % (N, cfg.N_ref))
 
 
+def _weights_identity(key, tab, eps, N, h, shape):
+    # everything a cached weight set must match to be reused
+    return {
+        "key": key,
+        "tableau": hashlib.sha256(tableau_to_json(tab).encode()).hexdigest(),
+        "eps": eps,
+        "N": N,
+        "h": h,
+        "shape": list(shape),
+    }
+
+
+def _weights_cache_path(cfg, K, tab, h, N):
+    """Cache file of K's weights and the identity a stored set must match."""
+    ident = _weights_identity(K.key, tab, cfg.eps, N, h, weights_shape(K, tab, N))
+    digest = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()[:24]
+    name = "%s_%s.npz" % (re.sub(r"[^A-Za-z0-9_.-]", "_", K.key), digest)
+    return os.path.join(cfg.weights_cache, name), ident
+
+
+def _load_cached_weights(path, ident):
+    # None when the file is missing, unreadable (a truncated .npz) or made
+    # for another kernel, tableau, eps, grid or weight shape
+    try:
+        wset = load_weights(path)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    got = _weights_identity(wset.key, wset.tableau, wset.eps, wset.N, wset.h, wset.W.shape)
+    return wset if got == ident else None
+
+
 def _weights(cfg, K, tab, h, N):
-    """Compute weights, reusing the on-disk cache when one is configured."""
-    if not cfg.weights_cache:
+    """Compute weights, reusing the on-disk cache when one is configured.
+
+    Kernels without a key are never cached: nothing tells two of them
+    apart.
+    """
+    if not cfg.weights_cache or K.key is None:
         return compute_weights(K, tab, h, N, eps=cfg.eps, threads=cfg.threads)
     os.makedirs(cfg.weights_cache, exist_ok=True)
-    name = "%s_%s%d_N%d_h%.12e_eps%.3e.npz" % (
-        K.key or "kernel", tab.family, tab.m, N, h, cfg.eps,
-    )
-    path = os.path.join(cfg.weights_cache, name)
-    if os.path.exists(path):
-        wset = load_weights(path)
-        if wset.N == N and abs(wset.h - h) < 1e-15 * h:
-            return wset
-    wset = compute_weights(K, tab, h, N, eps=cfg.eps, threads=cfg.threads)
-    save_weights(wset, path)
+    path, ident = _weights_cache_path(cfg, K, tab, h, N)
+    wset = _load_cached_weights(path, ident)
+    if wset is None:
+        wset = compute_weights(K, tab, h, N, eps=cfg.eps, threads=cfg.threads)
+        save_weights(wset, path)
     return wset
 
 
@@ -186,6 +221,8 @@ def _bem_stage_samples(datum_fn, mesh, tab, h, N):
 
 
 def _bem_setup(cfg):
+    """Mesh and transfer function of a cell: the per-mode (diagonal) kernel
+    on a circulant mesh, the dense matrix kernel otherwise."""
     mesh = make_mesh(cfg.geometry, cfg.n_panels)
     problem = ScatteringProblem(
         geometry=cfg.geometry,
@@ -195,7 +232,21 @@ def _bem_setup(cfg):
         n_panels=cfg.n_panels,
         N_t=cfg.N_ref,
     )
+    if mesh.circulant:
+        return mesh, make_mode_transfer(problem, mesh)
     return mesh, make_transfer(problem, mesh)
+
+
+def _bem_traces(wset, samples):
+    """Panel-space grid traces (N+1, n) from stage samples (N+1, m, n).
+
+    Per-mode weights act on the real FFT of the samples along the panel
+    axis, and the traces come back through the inverse transform.
+    """
+    if wset.W.ndim == 4:
+        modes = apply_cq(wset, np.fft.rfft(samples, axis=-1))
+        return np.fft.irfft(modes, n=samples.shape[-1], axis=-1)
+    return apply_cq(wset, samples)
 
 
 def bem_reference_key(cfg):
@@ -219,7 +270,7 @@ def bem_reference_solution(cfg):
     ref_tab = gauss_tableau(3)
     h_ref = cfg.T / cfg.N_ref
     wref = _weights(cfg, K, ref_tab, h_ref, cfg.N_ref)
-    return apply_cq(wref, _bem_stage_samples(datum_fn, mesh, ref_tab, h_ref, cfg.N_ref))
+    return _bem_traces(wref, _bem_stage_samples(datum_fn, mesh, ref_tab, h_ref, cfg.N_ref))
 
 
 def run_bem_convergence(cfg, reference=None):
@@ -240,7 +291,7 @@ def run_bem_convergence(cfg, reference=None):
     for N in cfg.N_list:
         h = cfg.T / N
         wset = _weights(cfg, K, tab, h, N)
-        u = apply_cq(wset, _bem_stage_samples(datum_fn, mesh, tab, h, N))
+        u = _bem_traces(wset, _bem_stage_samples(datum_fn, mesh, tab, h, N))
         errors.append(error_metric(u, uref[:: cfg.N_ref // N], h, mesh))
     rows = _attach_eocs(cfg.N_list, errors)
     return ConvergenceReport(cfg, rows, {"wall_time_s": time.perf_counter() - t0})

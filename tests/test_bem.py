@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 from rkcq import bem
-from rkcq.bessel import bessel_k0, bessel_k1
+from rkcq.bessel import bessel_k0, bessel_k1, k0k1
 
 
 def test_circle_mesh_geometry():
@@ -79,20 +79,62 @@ def test_circulant_matches_dense_assembly():
     assert np.abs(K1 - K2).max() <= 1e-13 * np.abs(K1).max()
 
 
+def test_symbol_transfer_matches_dense_solve():
+    # on the circle BemTransfer(s) is built from the Fourier symbol; the
+    # kind-stripped copy of the mesh takes the dense assembly and solve
+    mesh = bem.make_mesh("unit_circle", 32)
+    plain = bem.BoundaryMesh(
+        kind="custom", vertices=mesh.vertices.copy(), panels=mesh.panels.copy()
+    )
+    for op in ("inverse_single_layer", "exterior_dtn"):
+        tf, dense = bem.BemTransfer(mesh, op), bem.BemTransfer(plain, op)
+        for s in (1.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j):
+            A, B = tf(s), dense(s)
+            assert np.abs(A - B).max() <= 1e-12 * np.abs(B).max(), (op, s)
+        with pytest.raises(ValueError):
+            dense.symbol(1.0)
+    lam = tf.symbol(np.array([[1.0, 2.0 + 1.0j], [3.0 - 1.0j, 0.5 + 4.0j]]))
+    assert lam.shape == (2, 2, 17)
+    assert np.array_equal(lam[1, 1], tf.symbol(0.5 + 4.0j))
+
+
+def test_bessel_k0_equals_k0k1_bit_for_bit():
+    # series (|z| + Re z <= 8.5), scipy mid annulus, asymptotic (|z| >= 16.5)
+    # and the Re z > 700 flush
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.01, 60.0, 4000) * np.exp(1j * rng.uniform(-1.57, 1.57, 4000))
+    z = np.concatenate([z, [0.5, 6.0 + 6.0j, 12.0, 20.0 - 30.0j, 900.0, 5.0 + 3000.0j]])
+    az = np.abs(z)
+    series = az + z.real <= 8.5
+    assert series.any() and (az >= 16.5).any() and (~series & (az < 16.5)).any()
+    assert np.array_equal(bessel_k0(z), k0k1(z)[0])
+    assert bessel_k0(2.0 + 1.0j) == k0k1(2.0 + 1.0j)[0]
+
+
+def test_assemble_V_equals_pair_bit_for_bit():
+    for kind in ("unit_circle", "l_shape"):
+        mesh = bem.make_mesh(kind, 32)
+        for s in (1.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j):
+            assert np.array_equal(bem.assemble_V(s, mesh), bem.assemble_pair(s, mesh)[0])
+
+
+def test_mode_transfer_metadata():
+    prob = bem.ScatteringProblem("unit_circle", "inverse_single_layer", "monomial_bump",
+                                 1.0, 16, 8)
+    mesh = bem.make_mesh("unit_circle", 16)
+    tf = bem.make_mode_transfer(prob, mesh)
+    assert tf.dim == 1 and tf.lanes == 9 and tf.conj_symmetric
+    assert tf.key == "bem_modes_unit_circle_inverse_single_layer_16"
+    assert tf.key != bem.make_transfer(prob, mesh).key
+    with pytest.raises(ValueError):
+        bem.make_mode_transfer(prob, bem.make_mesh("l_shape", 16))
+
+
 def test_single_layer_symmetry():
     for kind in ("unit_circle", "l_shape"):
         mesh = bem.make_mesh(kind, 32)
         V, _ = bem.assemble_pair(2.0 + 1.0j, mesh)
         assert np.abs(V - V.T).max() <= 1e-13 * np.abs(V).max()
-
-
-def test_row_assembly_matches_full():
-    mesh = bem.make_mesh("l_shape", 32)
-    s = 2.0 + 1.0j
-    Vfull, Kfull = bem.assemble_pair(s, mesh)
-    Vrows, Krows = bem._assemble_rows(s, mesh, np.arange(mesh.n))
-    assert np.abs(Vrows - Vfull).max() <= 1e-13 * np.abs(Vfull).max()
-    assert np.abs(Krows - Kfull).max() <= 1e-13 * np.abs(Kfull).max()
 
 
 def test_cached_adjacent_plan_assembles_bit_identically():

@@ -1,0 +1,107 @@
+"""Property tests of the diagonal-kernel (lane) route of the engine.
+
+The kernels are random symmetric circulant operators with first row
+c_d(s) = s^mu e^{-s r_d}, r_d = r_{n-d}: the dense route sees the n x n
+circulant matrix, the lane route its eigenvalues on the real-FFT lanes.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rkcq.engine import TransferFunction, apply_cq, compute_weights, weights_shape
+from rkcq.tableaux import gauss_tableau, radau_iia_tableau
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _row(s, mu, r):
+    s = np.asarray(s, dtype=complex)[..., None]
+    return s ** mu * np.exp(-s * r)
+
+
+# module level so the process pool can pickle them
+def _lane_symbol(s, mu, r):
+    return np.fft.fft(_row(s, mu, r), axis=-1)[..., : r.size // 2 + 1]
+
+
+def _circulant_matrix(s, mu, r):
+    n = r.size
+    return _row(s, mu, r)[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(3, 8))
+    half = draw(st.lists(st.floats(0.0, 2.0), min_size=n // 2, max_size=n // 2))
+    r = np.zeros(n)
+    for d, rd in enumerate(half, 1):
+        r[d] = r[n - d] = rd
+    mu = draw(st.floats(-1.0, 2.0))
+    family = draw(st.sampled_from([gauss_tableau, radau_iia_tableau]))
+    tab = family(draw(st.integers(1, 3)))
+    N = draw(st.integers(2, 12))
+    h = draw(st.floats(0.05, 0.5))
+    seed = draw(st.integers(0, 2**31 - 1))
+    g = np.random.default_rng(seed).standard_normal((N + 1, tab.m, n))
+    return n, r, mu, tab, N, h, g
+
+
+def _kernels(n, r, mu):
+    lane = TransferFunction(fn=functools.partial(_lane_symbol, mu=mu, r=r), dim=1, mu=mu,
+                            key="lanes", lanes=n // 2 + 1)
+    dense = TransferFunction(fn=functools.partial(_circulant_matrix, mu=mu, r=r), dim=n, mu=mu)
+    return lane, dense
+
+
+def _lane_traces(wset, g):
+    return np.fft.irfft(apply_cq(wset, np.fft.rfft(g, axis=-1)), n=g.shape[-1], axis=-1)
+
+
+@PROPERTY
+@given(cases())
+def test_lane_route_equals_dense_route(case):
+    n, r, mu, tab, N, h, g = case
+    lane, dense = _kernels(n, r, mu)
+    wl = compute_weights(lane, tab, h, N)
+    wd = compute_weights(dense, tab, h, N)
+    assert wl.W.shape == weights_shape(lane, tab, N) == (N + 1, tab.m, tab.m, n // 2 + 1)
+    assert wl.W.dtype == np.float64 and wl.key == "lanes"
+    ud = apply_cq(wd, g)
+    ul = _lane_traces(wl, g)
+    assert ul.shape == ud.shape == (N + 1, n)
+    assert np.linalg.norm(ul - ud) <= 1e-12 * np.linalg.norm(ud)
+
+
+@PROPERTY
+@given(cases(), st.data())
+def test_lane_apply_is_exactly_causal(case, data):
+    n, r, mu, tab, N, h, g = case
+    wl = compute_weights(_kernels(n, r, mu)[0], tab, h, N)
+    k = data.draw(st.integers(1, N))
+    gh = np.fft.rfft(g, axis=-1)
+    u0 = apply_cq(wl, gh)
+    gh2 = gh.copy()
+    gh2[k:] += 3.0 - 2.0j
+    u1 = apply_cq(wl, gh2)
+    assert np.array_equal(u0[:k], u1[:k])
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_lane_weights_do_not_depend_on_threads(case):
+    n, r, mu, tab, N, h, _ = case
+    lane = _kernels(n, r, mu)[0]
+    W1 = compute_weights(lane, tab, h, N, threads=1).W
+    W2 = compute_weights(lane, tab, h, N, threads=2).W
+    assert np.array_equal(W1, W2)
+
+
+def test_lane_kernels_must_be_conjugate_symmetric():
+    lane = TransferFunction(fn=functools.partial(_lane_symbol, mu=1.0, r=np.zeros(4)),
+                            lanes=3, conj_symmetric=False)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        compute_weights(lane, gauss_tableau(2), 0.1, 4)

@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from rkcq import harness
+from rkcq import bem, harness
+from rkcq.engine import TransferFunction, compute_weights, load_weights, save_weights
+from rkcq.kernels import kmu_transfer
+from rkcq.tableaux import gauss_tableau
 from rkcq.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -124,6 +127,66 @@ def test_weights_cache_reuse(tmp_path):
     r2 = run_scalar_convergence(cfg)
     assert r1.rows[0][1] == r2.rows[0][1]
     assert sorted(os.listdir(cache)) == files
+
+
+def _cache_cfg(tmp_path):
+    return ExperimentConfig("scalar_convergence", "gauss", 2, 0.0, N_list=(8,), N_ref=32,
+                            weights_cache=str(tmp_path / "wcache"))
+
+
+def test_weights_cache_recomputes_a_truncated_file(tmp_path):
+    cfg, K, tab = _cache_cfg(tmp_path), kmu_transfer(0.0), gauss_tableau(2)
+    first = harness._weights(cfg, K, tab, 0.1, 8)
+    path, _ = harness._weights_cache_path(cfg, K, tab, 0.1, 8)
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[: len(data) // 2])
+    again = harness._weights(cfg, K, tab, 0.1, 8)
+    assert np.array_equal(again.W, first.W)
+    assert np.array_equal(load_weights(path).W, first.W)
+    assert sorted(os.listdir(cfg.weights_cache)) == [os.path.basename(path)]
+
+
+def test_weights_cache_rejects_a_mismatched_shape(tmp_path):
+    cfg, K, tab = _cache_cfg(tmp_path), kmu_transfer(0.0), gauss_tableau(2)
+    path, _ = harness._weights_cache_path(cfg, K, tab, 0.1, 8)
+    os.makedirs(cfg.weights_cache)
+    wrong = compute_weights(K, tab, 0.1, 8, eps=cfg.eps)
+    wrong.W = wrong.W[..., None]
+    save_weights(wrong, path)
+    got = harness._weights(cfg, K, tab, 0.1, 8)
+    assert got.W.shape == (9, 2, 2)
+    assert np.array_equal(got.W, compute_weights(K, tab, 0.1, 8, eps=cfg.eps).W)
+    assert load_weights(path).W.shape == (9, 2, 2)
+
+
+def test_weights_cache_skips_unkeyed_kernels(tmp_path):
+    cfg, tab = _cache_cfg(tmp_path), gauss_tableau(2)
+    Ka = TransferFunction(fn=lambda s: 1.0 / s)
+    Kb = TransferFunction(fn=lambda s: s)
+    Wa = harness._weights(cfg, Ka, tab, 0.1, 8).W
+    Wb = harness._weights(cfg, Kb, tab, 0.1, 8).W
+    assert np.array_equal(Wa, compute_weights(Ka, tab, 0.1, 8, eps=cfg.eps).W)
+    assert np.array_equal(Wb, compute_weights(Kb, tab, 0.1, 8, eps=cfg.eps).W)
+    assert not os.path.exists(cfg.weights_cache) or not os.listdir(cfg.weights_cache)
+
+
+def test_circle_cells_use_the_mode_kernel():
+    # the per-mode route on the circle reproduces the dense matrix route
+    cfg = ExperimentConfig("bem_convergence", "gauss", 3, geometry="unit_circle",
+                           operator="exterior_dtn", datum="traveling_gaussian", T=1.0,
+                           N_list=(4,), N_ref=8, n_panels=16, eps=1e-16)
+    mesh, K = harness._bem_setup(cfg)
+    assert K.lanes == 9 and K.key.startswith("bem_modes_")
+    problem = bem.ScatteringProblem("unit_circle", "exterior_dtn", "traveling_gaussian", 1.0, 16, 8)
+    dense = bem.make_transfer(problem, mesh)
+    tab, h = gauss_tableau(3), cfg.T / cfg.N_ref
+    g = harness._bem_stage_samples(harness.DATA["traveling_gaussian"], mesh, tab, h, cfg.N_ref)
+    want = harness.apply_cq(compute_weights(dense, tab, h, cfg.N_ref, eps=cfg.eps), g)
+    got = harness.bem_reference_solution(cfg)
+    assert got.shape == want.shape == (9, 16)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_run_config_writes_csv_and_index(tmp_path):
