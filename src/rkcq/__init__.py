@@ -20,7 +20,6 @@ from .engine import (
     TransferFunction,
     CQWeightSet,
     delta_matrix,
-    transfer_of_matrix,
     compute_weights,
     apply_cq,
     sample_stage_signal,

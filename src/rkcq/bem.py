@@ -27,6 +27,7 @@ import numpy as np
 
 from .bessel import bessel_k0, k0k1
 from .engine import TransferFunction
+from .kernels import snake_name
 
 __all__ = [
     "BoundaryMesh",
@@ -207,7 +208,7 @@ class BoundaryMesh:
 
 
 def _norm_name(name):
-    s = "".join("_" + ch.lower() if ch.isupper() else ch for ch in str(name)).lstrip("_")
+    s = snake_name(name)
     return {"circle": "unit_circle", "lshape": "l_shape"}.get(s, s)
 
 
@@ -720,9 +721,7 @@ def make_transfer(problem, mesh=None):
     return TransferFunction(
         fn=fn,
         dim=mesh.n,
-        mu=2.0,
         sigma0=0.1,
-        bound=None,
         key="bem_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
         conj_symmetric=True,
     )
@@ -741,9 +740,7 @@ def make_mode_transfer(problem, mesh):
     return TransferFunction(
         fn=fn.symbol,
         dim=1,
-        mu=2.0,
         sigma0=0.1,
-        bound=None,
         key="bem_modes_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
         conj_symmetric=True,
         lanes=mesh.n // 2 + 1,

@@ -23,9 +23,10 @@ scalar kernel, so the same vectorized path computes weights of shape
 (N+1, m, m, k), and apply_cq takes stage samples and returns traces in the
 lane basis; a scalar kernel is the one-lane case.  A dense kernel
 (dim n > 1) maps one s to an (n, n) matrix and has (N+1, m n, m n)
-weights.  All three share the contour checks: cond(Delta), the
-eigenvector condition number, the sigma0 warning and the identity-kernel
-sanity check.
+weights.  All three, on either contour (the upper half circle with hfft
+for conjugate-symmetric kernels, the full circle with fft otherwise), go
+through one routine with the same checks: cond(Delta), the eigenvector
+condition number, the sigma0 warning and the identity-kernel sanity check.
 """
 
 import functools
@@ -33,7 +34,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "TransferFunction",
     "CQWeightSet",
     "delta_matrix",
-    "transfer_of_matrix",
     "weights_shape",
     "compute_weights",
     "apply_cq",
@@ -56,7 +56,8 @@ __all__ = [
 
 @dataclass
 class TransferFunction:
-    """Transfer function K(s), analytic for Re s >= sigma0 with |K| <= M|s|^mu.
+    """Transfer function K(s), analytic and polynomially bounded for
+    Re s >= sigma0.
 
     For dim == 1, fn maps a complex ndarray to an ndarray elementwise; with
     lanes = k set, it maps shape S to S + (k,), one scalar kernel per lane
@@ -64,14 +65,13 @@ class TransferFunction:
     maps a single complex s to an (n, n) matrix. Kernels with
     K(conj s) = conj(K(s)) (every kernel with a real time-domain response)
     should keep conj_symmetric True: only the upper half of the FFT circle is
-    evaluated and the weights come out real.
+    evaluated and the weights come out real. Other kernels are evaluated on
+    the full circle and get complex weights.
     """
 
     fn: callable
     dim: int = 1
-    mu: float = 0.0
     sigma0: float = 0.1
-    bound: float = None
     key: str = None
     conj_symmetric: bool = True
     lanes: int = None
@@ -82,8 +82,8 @@ class TransferFunction:
 
 @dataclass
 class CQWeightSet:
-    """Stage-block weights W_j, the post-stage coefficients gamma_j, and the
-    recursion data needed to apply the discrete convolution.
+    """Stage-block weights W_j and the recursion data needed to apply the
+    discrete convolution.
 
     W is (N+1, m dim, m dim), or (N+1, m, m, lanes) for a diagonal kernel;
     key is the kernel's key.
@@ -94,7 +94,6 @@ class CQWeightSet:
     tableau: ButcherTableau
     dim: int
     W: np.ndarray
-    gamma: np.ndarray
     r_infinity: float
     eps: float
     key: str = None
@@ -109,25 +108,6 @@ def delta_matrix(tab, zeta):
     return np.linalg.inv(M)
 
 
-def transfer_of_matrix(K, Z, h):
-    """Evaluate the operator block K(Z/h) through the eigendecomposition of Z.
-
-    Returns an (m*dim, m*dim) matrix. Raises when the eigenvector basis is
-    too ill conditioned for the similarity transform to be trustworthy.
-    """
-    w, E = np.linalg.eig(Z)
-    if np.linalg.cond(E) > 1e10:
-        raise np.linalg.LinAlgError(
-            "eigenvector condition number exceeds 1e10; use a different FFT radius"
-        )
-    Einv = np.linalg.inv(E)
-    if K.dim == 1:
-        return E @ np.diag(np.asarray(K.fn(w / h), dtype=complex)) @ Einv
-    Kst = np.stack([np.asarray(K.fn(wi / h), dtype=complex) for wi in w])
-    m, n = Z.shape[0], K.dim
-    return np.einsum("ai,ib,icd->acbd", E, Einv, Kst).reshape(m * n, m * n)
-
-
 def _fft_grid(N, eps):
     L = 1
     while L < 2 * (N + 1):
@@ -135,31 +115,40 @@ def _fft_grid(N, eps):
     return L, eps ** (1.0 / (2 * L))
 
 
-def _eval_kernel_stack(fn, svals):
-    # worker for the process pool: one (n, n) matrix per frequency
-    return [np.asarray(fn(s), dtype=complex) for s in svals]
+def _node_stacks(fn, rows):
+    # the (m, n, n) kernel stack of each contour node; also the worker of
+    # the process pool for dense kernels
+    return [np.stack([np.asarray(fn(si), dtype=complex) for si in row]) for row in rows]
 
 
-def _pool_map(fn, flat, threads):
+def _pool_map(fn, rows, threads):
     # evaluate fn on chunks of the contour nodes in worker processes; the
     # results come back in node order
-    chunks = np.array_split(np.arange(flat.size), threads * 4)
+    chunks = np.array_split(np.arange(len(rows)), threads * 4)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(fn, flat[ix]) for ix in chunks]
+        futs = [pool.submit(fn, rows[ix]) for ix in chunks]
         return [f.result() for f in futs]
 
 
-def _hermitian_dft(Fh, L, N, chunk=1 << 22):
-    # forward DFT of a Hermitian-symmetric spectrum, real output, column-chunked
-    # to bound peak memory (Fh holds rows l = 0..L/2)
-    Lh, nc = Fh.shape
-    W = np.empty((N + 1, nc))
+def _contour_dft(F, L, lam, N, chunk=1 << 22):
+    """Scaled DFT lambda^{-j}/L sum_l F_l e^{-2 pi i l j/L}, j = 0..N.
+
+    F holds one row per contour node: all L nodes (complex output), or the
+    L/2+1 upper ones of a Hermitian-symmetric spectrum (real output).
+    Column-chunked to bound peak memory.
+    """
+    nodes, nc = F.shape
+    half = nodes < L
+    W = np.empty((N + 1, nc), dtype=float if half else complex)
     step = max(1, chunk // max(L, 1))
     for c0 in range(0, nc, step):
         # hfft(a) is the forward transform sum_l a_l e^{-2pi i l j / L} of the
         # Hermitian extension of a; conjugating the input would flip the sign
         # of the exponent and return coefficient L-j in place of j
-        W[:, c0 : c0 + step] = np.fft.hfft(Fh[:, c0 : c0 + step], n=L, axis=0)[: N + 1]
+        blk = F[:, c0 : c0 + step]
+        W[:, c0 : c0 + step] = (np.fft.hfft(blk, n=L, axis=0) if half
+                                else np.fft.fft(blk, axis=0))[: N + 1]
+    W *= (lam ** -np.arange(N + 1))[:, None] / L
     return W
 
 
@@ -175,25 +164,21 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
     """Convolution quadrature weights of K for tableau tab, step h, N steps.
 
     Returns a CQWeightSet with W of shape weights_shape(K, tab, N), real
-    when the kernel is conjugate-symmetric, and gamma of shape (N+1, m).
-    With threads > 1, matrix and diagonal kernels are evaluated on the
-    contour nodes in that many worker processes (fn must be picklable).
+    when the kernel is conjugate-symmetric (only the upper half of the FFT
+    circle is evaluated) and complex otherwise (the full circle).  With
+    threads > 1, matrix and diagonal kernels are evaluated on the contour
+    nodes in that many worker processes (fn must be picklable).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if h * K.sigma0 > 1.0:
         warnings.warn("h*sigma0 = %.3g > 1; step too coarse for this kernel" % (h * K.sigma0))
-    if not K.conj_symmetric:
-        if K.lanes is not None:
-            raise ValueError("diagonal (lane) kernels must be conjugate-symmetric")
-        return _compute_weights_full_circle(K, tab, h, N, eps)
     m = tab.m
     n = K.dim
     L, lam = _fft_grid(N, eps)
-    Lh = L // 2 + 1
+    nodes = L // 2 + 1 if K.conj_symmetric else L
 
-    ls = np.arange(Lh)
-    zetas = lam * np.exp(2j * np.pi * ls / L)
+    zetas = lam * np.exp(2j * np.pi * np.arange(nodes) / L)
     Ms = zetas[:, None, None] / (1.0 - zetas[:, None, None]) * np.outer(np.ones(m), tab.b)[None] + tab.A[None]
     if np.linalg.cond(Ms).max() > 1e14:
         raise np.linalg.LinAlgError("Delta(zeta) singular on the FFT circle")
@@ -215,66 +200,32 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
         # K(Z/h) = E diag(K(w/h)) E^{-1} lane by lane
         lanes = 1 if K.lanes is None else K.lanes
         if threads > 1 and K.lanes is not None:
-            Kv = np.concatenate(_pool_map(K.fn, s.ravel(), threads))
+            Kv = np.concatenate(_pool_map(K.fn, s, threads))
         else:
             Kv = np.asarray(K.fn(s), dtype=complex)
-        Kv = Kv.reshape(Lh, m, lanes)
-        Fh = np.einsum("lai,lik,lib->labk", E, Kv, Einv)
+        F = np.einsum("lai,lik,lib->labk", E, Kv.reshape(nodes, m, lanes), Einv)
     else:
-        Fh = np.empty((Lh, m * n, m * n), dtype=complex)
+        # dense kernels: K(Z/h) = sum_i E[:, i] Einv[i, :] (x) K(w_i/h), one
+        # node at a time, so the serial path never holds more than one stack
         if threads > 1:
-            vals = [v for part in _pool_map(functools.partial(_eval_kernel_stack, K.fn),
-                                            s.ravel(), threads) for v in part]
-            Kst = np.stack(vals).reshape(Lh, m, n, n)
-            for l in range(Lh):
-                Fh[l] = np.einsum("ai,ib,icd->acbd", E[l], Einv[l], Kst[l]).reshape(m * n, m * n)
+            parts = _pool_map(functools.partial(_node_stacks, K.fn), s, threads)
         else:
-            for l in range(Lh):
-                Kst = np.stack([np.asarray(K.fn(si), dtype=complex) for si in s[l]])
-                Fh[l] = np.einsum("ai,ib,icd->acbd", E[l], Einv[l], Kst).reshape(m * n, m * n)
+            parts = (_node_stacks(K.fn, s[l : l + 1]) for l in range(nodes))
+        F = np.empty((nodes, m * n, m * n), dtype=complex)
+        for l, Kst in enumerate(st for part in parts for st in part):
+            F[l] = np.einsum("ai,ib,icd->acbd", E[l], Einv[l], Kst).reshape(m * n, m * n)
 
-    W = _hermitian_dft(Fh.reshape(Lh, -1), L, N)
-    W *= (lam ** -np.arange(N + 1))[:, None] / L
-    W = W.reshape(weights_shape(K, tab, N))
-
-    _identity_sanity(tab, E, Einv, L, lam, N)
-    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps, K.key)
+    W = _contour_dft(F.reshape(nodes, -1), L, lam, N).reshape(weights_shape(K, tab, N))
+    _identity_sanity(m, E, Einv, L, lam, N)
+    return CQWeightSet(h, N, tab, n, W, tab.r_infinity, eps, K.key)
 
 
-def _compute_weights_full_circle(K, tab, h, N, eps):
-    # complex weights for kernels without conjugate symmetry; full circle
-    m, n = tab.m, K.dim
-    L, lam = _fft_grid(N, eps)
-    zetas = lam * np.exp(2j * np.pi * np.arange(L) / L)
-    F = np.empty((L, m * n, m * n), dtype=complex)
-    for l, zeta in enumerate(zetas):
-        F[l] = transfer_of_matrix(K, delta_matrix(tab, zeta), h)
-    W = np.fft.fft(F, axis=0)[: N + 1]
-    W *= (lam ** -np.arange(N + 1))[:, None, None] / L
-    return CQWeightSet(h, N, tab, n, W, _gamma_coeffs(tab, N), tab.r_infinity, eps, K.key)
-
-
-def _identity_sanity(tab, E, Einv, L, lam, N):
+def _identity_sanity(m, E, Einv, L, lam, N):
     # the same DFT applied to K(s) = 1 must reproduce identity weights
-    m = tab.m
-    Fh = np.einsum("lai,lib->lab", E, Einv).reshape(E.shape[0], -1)
-    W1 = _hermitian_dft(Fh, L, N)
-    W1 *= (lam ** -np.arange(N + 1))[:, None] / L
+    W1 = _contour_dft(np.einsum("lai,lib->lab", E, Einv).reshape(E.shape[0], -1), L, lam, N)
     W1 = W1.reshape(N + 1, m, m)
     if np.abs(W1[0] - np.eye(m)).max() > 1e-9 or np.abs(W1[1:]).sum() > 1e-9:
         raise RuntimeError("identity-kernel sanity check failed; FFT weight path is broken")
-
-
-def _gamma_coeffs(tab, N):
-    # gamma_0 = 0, gamma_j = R(inf)^{j-1} b^T A^{-1}
-    v = np.linalg.solve(tab.A.T, tab.b)
-    rinf = tab.r_infinity
-    g = np.zeros((N + 1, tab.m))
-    cur = v.copy()
-    for j in range(1, N + 1):
-        g[j] = cur
-        cur = cur * rinf
-    return g
 
 
 def apply_cq(wset, stage_samples):
@@ -343,22 +294,22 @@ def save_weights(wset, path):
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        np.savez(f, W=wset.W, gamma=wset.gamma,
-                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        np.savez(f, W=wset.W, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     os.replace(tmp, path)
 
 
 def load_weights(path):
+    """Read a weight set stored by save_weights; other arrays in the file
+    are ignored."""
     with np.load(path) as d:
         meta = json.loads(d["meta"].tobytes().decode())
-        W, gamma = d["W"], d["gamma"]
+        W = d["W"]
     return CQWeightSet(
         meta["h"],
         meta["N"],
         tableau_from_json(meta["tableau"]),
         meta["dim"],
         W,
-        gamma,
         meta["r_infinity"],
         meta["eps"],
         meta.get("key"),

@@ -29,7 +29,7 @@ from .engine import (
     scalar_reference_solution,
     weights_shape,
 )
-from .kernels import DATA, kmu_transfer, sin_pow_exp
+from .kernels import DATA, kmu_transfer, sin_pow_exp, snake_name
 from .tableaux import (
     gauss_tableau,
     radau_iia_tableau,
@@ -51,12 +51,8 @@ __all__ = [
 ]
 
 
-def _snake(name):
-    return "".join("_" + c.lower() if c.isupper() else c for c in str(name)).lstrip("_")
-
-
 def _tableau(family, m):
-    fam = _snake(family)
+    fam = snake_name(family)
     if fam == "gauss":
         return gauss_tableau(m)
     if fam in ("radau_iia", "radau"):
@@ -191,7 +187,7 @@ def run_scalar_convergence(cfg):
     reflect the method under study even where it does not converge (a
     self-reference at equal stage count would hide stagnation).
     """
-    if _snake(cfg.datum) != "sin_pow_exp":
+    if snake_name(cfg.datum) != "sin_pow_exp":
         raise ValueError("scalar convergence runs use the sin_pow_exp datum")
     _check_grids(cfg)
     tab = _tableau(cfg.family, cfg.m)
@@ -251,7 +247,7 @@ def _bem_traces(wset, samples):
 
 def bem_reference_key(cfg):
     """Cells that may share one reference solution agree on this key."""
-    return (cfg.geometry, cfg.operator, _snake(cfg.datum), cfg.T, cfg.N_ref,
+    return (cfg.geometry, cfg.operator, snake_name(cfg.datum), cfg.T, cfg.N_ref,
             cfg.n_panels, cfg.eps)
 
 
@@ -266,7 +262,7 @@ def bem_reference_solution(cfg):
     coarsest-grid errors under study.
     """
     mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[_snake(cfg.datum)]
+    datum_fn = DATA[snake_name(cfg.datum)]
     ref_tab = gauss_tableau(3)
     h_ref = cfg.T / cfg.N_ref
     wref = _weights(cfg, K, ref_tab, h_ref, cfg.N_ref)
@@ -282,11 +278,11 @@ def run_bem_convergence(cfg, reference=None):
     the reference grid so traces compare at shared time nodes.
     """
     _check_grids(cfg)
+    tab = _tableau(cfg.family, cfg.m)
     mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[_snake(cfg.datum)]
+    datum_fn = DATA[snake_name(cfg.datum)]
     t0 = time.perf_counter()
     uref = bem_reference_solution(cfg) if reference is None else reference
-    tab = _tableau(cfg.family, cfg.m)
     errors = []
     for N in cfg.N_list:
         h = cfg.T / N
@@ -347,14 +343,16 @@ def _theta_grid_summary(m, npts=721, window=0.05):
         roots, _ = stability.solve_R_equals(m, np.exp(1j * th))
         if roots.size:
             max_re = max(max_re, float(np.max(np.abs(roots.real))))
-        for y in roots.imag:
-            if abs(y) <= 1e-8:
-                continue
-            b = stability.beta_coefficient(m, y)
-            all_above_one = all_above_one and b >= 1.0
-            if abs(y) <= 1e5 and abs(y) ** (2 * m) > 4 * eps * abs(pol.eval(1j * y)) ** 2:
-                min_beta = min(min_beta, b)
-                max_beta = max(max_beta, b)
+        y = roots.imag[np.abs(roots.imag) > 1e-8]
+        if not y.size:
+            continue
+        b = stability.beta_coefficient(m, y)
+        all_above_one = all_above_one and bool(np.all(b >= 1.0))
+        y2m = np.float_power(np.abs(y), 2 * m)
+        keep = (np.abs(y) <= 1e5) & (y2m > 4 * eps * np.abs(pol.eval(1j * y)) ** 2)
+        if keep.any():
+            min_beta = min(min_beta, float(b[keep].min()))
+            max_beta = max(max_beta, float(b[keep].max()))
     return {
         "theta_count": len(thetas),
         "max_abs_re_root": max_re,
@@ -459,6 +457,18 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
+def _write_cell(out_dir, fname, label, report):
+    """Write a cell's CSV and return its index record."""
+    _write_atomic(os.path.join(out_dir, fname), report.to_csv())
+    return {
+        "label": label,
+        "file": fname,
+        "config": report.config.to_dict(),
+        "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
+        "wall_time_s": round(report.meta.get("wall_time_s", 0.0), 3),
+    }
+
+
 def _run_cell(cfg, reference=None):
     if cfg.experiment == "scalar_convergence":
         return run_scalar_convergence(cfg)
@@ -500,15 +510,7 @@ def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cach
                 ref_seconds += time.perf_counter() - t0
             reference = refs[key]
         report = _run_cell(cfg, reference=reference)
-        fname = "%s_%s.csv" % (table, cfg.label)
-        _write_atomic(os.path.join(out_dir, fname), report.to_csv())
-        cells.append({
-            "label": cfg.label,
-            "file": fname,
-            "config": cfg.to_dict(),
-            "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
-            "wall_time_s": round(report.meta.get("wall_time_s", 0.0), 3),
-        })
+        cells.append(_write_cell(out_dir, "%s_%s.csv" % (table, cfg.label), cfg.label, report))
     index = {"table": table, "cells": cells}
     if ref_seconds:
         index["reference_wall_time_s"] = round(ref_seconds, 3)
@@ -521,18 +523,7 @@ def run_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     label = cfg.label or cfg.experiment
     if cfg.experiment in ("scalar_convergence", "bem_convergence"):
-        report = _run_cell(cfg)
-        fname = "%s.csv" % label
-        _write_atomic(os.path.join(out_dir, fname), report.to_csv())
-        index = {
-            "cells": [{
-                "label": label,
-                "file": fname,
-                "config": cfg.to_dict(),
-                "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
-                "wall_time_s": round(report.meta.get("wall_time_s", 0.0), 3),
-            }]
-        }
+        index = {"cells": [_write_cell(out_dir, "%s.csv" % label, label, _run_cell(cfg))]}
         _write_atomic(os.path.join(out_dir, "%s_index.json" % label), json.dumps(index, indent=2))
         return index
     if cfg.experiment == "stability_report":

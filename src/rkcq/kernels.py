@@ -9,6 +9,7 @@ __all__ = [
     "kmu_transfer",
     "power_transfer",
     "eval_datum",
+    "snake_name",
     "sin_pow_exp",
     "monomial_bump",
     "traveling_gaussian",
@@ -27,29 +28,14 @@ def eval_kmu(s, mu):
 
 
 def kmu_transfer(mu, sigma0=0.1):
-    """TransferFunction wrapper for K_mu.
-
-    The growth bound M is sampled on a fixed grid of the half-plane; 1/(1-e^{-s})
-    is bounded there so |K_mu| <= M |s|^mu holds with a finite M.
-    """
-    re = np.linspace(sigma0, 50.0, 15)
-    im = np.linspace(-1e3, 1e3, 31)
-    s = (re[:, None] + 1j * im[None, :]).ravel()
-    M = float(np.max(np.abs(eval_kmu(s, mu)) / np.abs(s) ** mu))
-    return TransferFunction(
-        fn=lambda s: eval_kmu(s, mu), dim=1, mu=mu, sigma0=sigma0, bound=M, key="kmu_%r" % mu
-    )
+    """TransferFunction wrapper for K_mu."""
+    return TransferFunction(fn=lambda s: eval_kmu(s, mu), dim=1, sigma0=sigma0, key="kmu_%r" % mu)
 
 
 def power_transfer(mu, sigma0=0.1):
     """Pure power s^mu (principal branch); the composition-rule test kernel."""
     return TransferFunction(
-        fn=lambda s: np.asarray(s, dtype=complex) ** mu,
-        dim=1,
-        mu=mu,
-        sigma0=sigma0,
-        bound=1.0,
-        key="power_%r" % mu,
+        fn=lambda s: np.asarray(s, dtype=complex) ** mu, dim=1, sigma0=sigma0, key="power_%r" % mu
     )
 
 
@@ -86,13 +72,19 @@ DATA = {
 _SPATIAL = {"monomial_bump", "traveling_gaussian"}
 
 
+def snake_name(name):
+    """snake_case form of a CamelCase or snake_case name (data, tableau
+    families, geometries, operators)."""
+    return "".join("_" + ch.lower() if ch.isupper() else ch for ch in str(name)).lstrip("_")
+
+
 def eval_datum(kind, x, t):
     """Evaluate a named datum; kind accepts snake_case or CamelCase names.
 
     x is None for purely temporal data and an (n, 2) array of boundary
     points otherwise.
     """
-    name = "".join("_" + ch.lower() if ch.isupper() else ch for ch in kind).lstrip("_")
+    name = snake_name(kind)
     if name not in DATA:
         raise KeyError("unknown datum %r; choose from %s" % (kind, sorted(DATA)))
     if name in _SPATIAL and x is None:

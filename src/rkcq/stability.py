@@ -156,7 +156,9 @@ def solve_R_equals(m, w):
     pol = pade_coeffs(m)
     signs = np.where(np.arange(m + 1) % 2 == 0, 1.0, -1.0)
     q = pol.coeffs * (1.0 - w * signs)
-    degenerate = bool(np.abs(q[m]) < 1e-14 * np.max(np.abs(q)))
+    # test the factor 1 - w(-1)^m itself: p_m = 1 while p_0 = (2m)!/m! is
+    # huge, so q_m measured against max|q| would flag many angles for m >= 11
+    degenerate = bool(abs(1.0 - w * signs[m]) < 1e-14)
     qq = q[:m] if degenerate else q
     if len(qq) < 2:
         return np.zeros(0, dtype=complex), degenerate
@@ -173,15 +175,22 @@ def beta_coefficient(m, y):
     """Slope beta = 1/(1 - y^{2m}/|P_m(iy)|^2) of the root path at iy.
 
     Equals 1 at y = 0 and exceeds 1 at every other point where |R_m(iy)| = 1.
+    y may be an array; the result then has its shape.
     """
     pol = pade_coeffs(m)
-    a2 = abs(pol.eval(1j * float(y))) ** 2
-    den = a2 - float(y) ** (2 * m)
-    if den <= 0:
+    y = np.asarray(y, dtype=float)
+    a2 = np.abs(pol.eval(1j * y)) ** 2
+    # float_power rounds like the scalar pow (the array power loop may not),
+    # and a2 - y^{2m} cancels wherever beta is large
+    den = a2 - np.float_power(y, 2 * m)
+    bad = ~(den > 0)
+    if bad.any():
         raise ValueError(
-            "|P_m(iy)|^2 - y^{2m} = %g <= 0 at y=%g; iy is not a unit-modulus root" % (den, y)
+            "|P_m(iy)|^2 - y^{2m} = %g <= 0 at y=%g; iy is not a unit-modulus root"
+            % (den[bad].flat[0], y[bad].flat[0])
         )
-    return a2 / den
+    beta = a2 / den
+    return beta if beta.ndim else float(beta)
 
 
 def beta_from_residue(m, y):

@@ -188,9 +188,7 @@ def test_criterion_5_imaginary_axis_cancellation():
 def test_criterion_6_engine_oracles():
     tab = gauss_tableau(3)
     # K(s) = 1 is the identity convolution
-    ident = TransferFunction(
-        fn=lambda s: np.ones_like(np.asarray(s, dtype=complex)), dim=1, mu=0.0
-    )
+    ident = TransferFunction(fn=lambda s: np.ones_like(np.asarray(s, dtype=complex)), dim=1)
     ws = compute_weights(ident, tab, 0.05, 32)
     tail = sum(np.linalg.norm(ws.W[j]) for j in range(1, 33))
     # K(s) = 1/s integrates t^3 exactly up to quadrature error

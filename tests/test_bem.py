@@ -281,9 +281,7 @@ def test_make_transfer_metadata():
     )
     tf = bem.make_transfer(prob)
     assert tf.dim == 16
-    assert tf.mu == 2.0
     assert tf.sigma0 == 0.1
-    assert tf.bound is None
     assert tf.conj_symmetric
     assert tf.key == "bem_unit_circle_exterior_dtn_16"
 

@@ -13,14 +13,13 @@ from rkcq.engine import (
     sample_stage_signal,
     save_weights,
     scalar_reference_solution,
-    transfer_of_matrix,
 )
 from rkcq.kernels import eval_kmu, kmu_transfer, power_transfer, sin_pow_exp
 from rkcq.tableaux import gauss_tableau, radau_iia_tableau
 
 
 def identity_kernel():
-    return TransferFunction(fn=lambda s: np.ones_like(np.asarray(s, dtype=complex)), dim=1, mu=0.0)
+    return TransferFunction(fn=lambda s: np.ones_like(np.asarray(s, dtype=complex)), dim=1)
 
 
 def _triangular_matrix_kernel(s):
@@ -41,15 +40,6 @@ def test_delta_matrix_rejects_singular_argument():
     tab = gauss_tableau(2)
     with pytest.raises(Exception):
         delta_matrix(tab, 1.0)
-
-
-def test_transfer_of_matrix_scalar_matches_direct():
-    tab = gauss_tableau(2)
-    Z = delta_matrix(tab, 0.1 + 0.05j)
-    K = power_transfer(1.0)
-    # K(Z/h) for K(s) = s is just Z/h
-    h = 0.25
-    assert np.abs(transfer_of_matrix(K, Z, h) - Z / h).max() < 1e-11
 
 
 def test_identity_kernel_weights():
@@ -108,23 +98,23 @@ def test_weights_linear_in_kernel():
     h, N = 0.05, 12
     K1 = power_transfer(-1.0)
     K2 = kmu_transfer(0.0)
-    Ksum = TransferFunction(fn=lambda s: 2.0 * K1.fn(s) + 0.5 * K2.fn(s), dim=1, mu=0.0)
+    Ksum = TransferFunction(fn=lambda s: 2.0 * K1.fn(s) + 0.5 * K2.fn(s), dim=1)
     Wsum = compute_weights(Ksum, tab, h, N).W
     Wparts = 2.0 * compute_weights(K1, tab, h, N).W + 0.5 * compute_weights(K2, tab, h, N).W
     assert np.abs(Wsum - Wparts).max() < 1e-12
 
 
 def test_full_circle_path_matches_hermitian_path():
+    # a scalar and a dense kernel
     tab = gauss_tableau(3)
-    K = kmu_transfer(0.0)
-    Kfull = TransferFunction(
-        fn=lambda s: eval_kmu(s, 0.0), dim=1, mu=0.0, sigma0=0.1, conj_symmetric=False
-    )
-    Wh = compute_weights(K, tab, 0.05, 16).W
-    Wf = compute_weights(Kfull, tab, 0.05, 16).W
-    assert np.iscomplexobj(Wf)
-    assert np.abs(Wf.imag).max() < 1e-12
-    assert np.abs(Wf.real - Wh).max() < 1e-12
+    for fn, dim in ((lambda s: eval_kmu(s, 0.0), 1), (_triangular_matrix_kernel, 2)):
+        K = TransferFunction(fn=fn, dim=dim)
+        Kfull = TransferFunction(fn=fn, dim=dim, conj_symmetric=False)
+        Wh = compute_weights(K, tab, 0.05, 16).W
+        Wf = compute_weights(Kfull, tab, 0.05, 16).W
+        assert np.iscomplexobj(Wf) and Wf.shape == Wh.shape
+        assert np.abs(Wf.imag).max() < 1e-12 * np.abs(Wh).max()
+        assert np.abs(Wf.real - Wh).max() < 1e-12 * np.abs(Wh).max()
 
 
 def test_real_kernel_gives_real_weights_and_output():
@@ -157,7 +147,7 @@ def test_matrix_valued_kernel_blocks():
     def fn(s):
         return np.diag([1.0 / s, s])
 
-    K = TransferFunction(fn=fn, dim=2, mu=1.0)
+    K = TransferFunction(fn=fn, dim=2)
     W = compute_weights(K, tab, h, N).W
     Wa = compute_weights(power_transfer(-1.0), tab, h, N).W
     Wb = compute_weights(power_transfer(1.0), tab, h, N).W
@@ -170,7 +160,7 @@ def test_matrix_valued_kernel_blocks():
 def test_matrix_kernel_threaded_evaluation_matches_serial():
     tab = gauss_tableau(2)
     h, N = 0.1, 6
-    K = TransferFunction(fn=_triangular_matrix_kernel, dim=2, mu=1.0)
+    K = TransferFunction(fn=_triangular_matrix_kernel, dim=2)
     W1 = compute_weights(K, tab, h, N, threads=1).W
     W2 = compute_weights(K, tab, h, N, threads=2).W
     assert np.array_equal(W1, W2)
@@ -185,16 +175,17 @@ def test_delay_kernel_against_shift_sum():
     assert np.abs(u - exact).max() < 1e-7
 
 
-def test_gamma_coefficients_structure():
-    # gamma_j = R(inf)^{j-1} b^T A^{-1}; Radau IIA has R(inf) = 0 and
-    # b^T A^{-1} = e_m, so only gamma_1 survives
-    ws = compute_weights(power_transfer(-1.0), radau_iia_tableau(2), 0.1, 8)
-    assert np.abs(ws.gamma[0]).max() == 0.0
-    assert ws.gamma[1] == pytest.approx([0.0, 1.0], abs=1e-13)
-    assert np.abs(ws.gamma[2:]).max() == 0.0
-    wg = compute_weights(power_transfer(-1.0), gauss_tableau(2), 0.1, 8)
-    norms = np.linalg.norm(wg.gamma[1:], axis=1)
-    assert norms == pytest.approx(norms[0] * np.ones(8), rel=1e-12)
+def test_radau_grid_value_is_last_stage_of_previous_step():
+    # u_n = R(inf) u_{n-1} + b^T A^{-1} U_{n-1}; Radau IIA has R(inf) = 0 and
+    # b^T A^{-1} = e_m, so u_n is stage m of step n-1
+    tab = radau_iia_tableau(3)
+    h, N = 0.1, 12
+    ws = compute_weights(kmu_transfer(0.5), tab, h, N)
+    g = sample_stage_signal(sin_pow_exp, h, N, tab.c)
+    U = np.array([sum(ws.W[k - j] @ g[j] for j in range(k + 1)) for k in range(N + 1)])
+    u = apply_cq(ws, g)
+    assert u[0] == 0.0
+    assert np.abs(u[1:] - U[:-1, -1]).max() < 1e-12 * np.abs(U).max()
 
 
 def test_save_load_roundtrip_is_bitwise(tmp_path):
@@ -205,12 +196,23 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
     back = load_weights(path)
     assert isinstance(back, CQWeightSet)
     assert np.array_equal(back.W, ws.W)
-    assert np.array_equal(back.gamma, ws.gamma)
     assert back.h == ws.h and back.N == ws.N and back.eps == ws.eps
     assert back.r_infinity == ws.r_infinity
     assert np.array_equal(back.tableau.A, ws.tableau.A)
     urun = apply_cq(back, sample_stage_signal(sin_pow_exp, 0.05, 10, back.tableau.c))
     assert np.array_equal(urun, apply_cq(ws, sample_stage_signal(sin_pow_exp, 0.05, 10, tab.c)))
+
+
+def test_load_ignores_extra_arrays(tmp_path):
+    # files that also store post-stage coefficients still load
+    ws = compute_weights(kmu_transfer(0.0), gauss_tableau(2), 0.1, 6)
+    path = tmp_path / "w.npz"
+    save_weights(ws, path)
+    with np.load(path) as d:
+        arrays = dict(d)
+    np.savez(path, gamma=np.zeros((7, 2)), **arrays)
+    back = load_weights(path)
+    assert np.array_equal(back.W, ws.W) and back.key == ws.key
 
 
 def test_rejects_bad_horizon():

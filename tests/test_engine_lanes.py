@@ -5,6 +5,7 @@ c_d(s) = s^mu e^{-s r_d}, r_d = r_{n-d}: the dense route sees the n x n
 circulant matrix, the lane route its eigenvalues on the real-FFT lanes.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -51,9 +52,9 @@ def cases(draw):
 
 
 def _kernels(n, r, mu):
-    lane = TransferFunction(fn=functools.partial(_lane_symbol, mu=mu, r=r), dim=1, mu=mu,
+    lane = TransferFunction(fn=functools.partial(_lane_symbol, mu=mu, r=r), dim=1,
                             key="lanes", lanes=n // 2 + 1)
-    dense = TransferFunction(fn=functools.partial(_circulant_matrix, mu=mu, r=r), dim=n, mu=mu)
+    dense = TransferFunction(fn=functools.partial(_circulant_matrix, mu=mu, r=r), dim=n)
     return lane, dense
 
 
@@ -100,8 +101,18 @@ def test_lane_weights_do_not_depend_on_threads(case):
     assert np.array_equal(W1, W2)
 
 
-def test_lane_kernels_must_be_conjugate_symmetric():
-    lane = TransferFunction(fn=functools.partial(_lane_symbol, mu=1.0, r=np.zeros(4)),
-                            lanes=3, conj_symmetric=False)
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        compute_weights(lane, gauss_tableau(2), 0.1, 4)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_full_circle_lane_weights_equal_half_circle(case):
+    n, r, mu, tab, N, h, _ = case
+    lane = _kernels(n, r, mu)[0]
+    full = dataclasses.replace(lane, conj_symmetric=False)
+    Wh = compute_weights(lane, tab, h, N).W
+    Wf = compute_weights(full, tab, h, N).W
+    assert np.iscomplexobj(Wf) and Wf.shape == Wh.shape
+    # both contours carry roundoff amplified by lambda^{-N} = eps^{-N/(2L)}
+    # (up to 3e4 here); the largest difference seen over 300 random cases
+    # was 4.9e-16 lambda^{-N} max|W|
+    L = 2 ** int(np.ceil(np.log2(2 * (N + 1))))
+    amplification = 1e-24 ** (-N / (2 * L))
+    assert np.abs(Wf - Wh).max() <= 1e-14 * amplification * np.abs(Wh).max()

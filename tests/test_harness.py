@@ -117,6 +117,20 @@ def test_run_table_checks_grids_before_reference(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("family, m", [("lobatto", 3), ("gauss", 13)])
+def test_run_config_checks_tableau_before_reference(tmp_path, monkeypatch, family, m):
+    # an unknown family or stage count must fail before the reference solve
+    def no_reference(cfg):
+        raise AssertionError("reference solved before the tableau was built")
+
+    monkeypatch.setattr(harness, "bem_reference_solution", no_reference)
+    cfg = ExperimentConfig("bem_convergence", family, m, geometry="l_shape",
+                           operator="exterior_dtn", datum="traveling_gaussian",
+                           N_list=(3, 7), N_ref=21, n_panels=16, eps=1e-16)
+    with pytest.raises(ValueError, match="family|stage count"):
+        run_config(cfg, str(tmp_path / "out"))
+
+
 def test_weights_cache_reuse(tmp_path):
     cache = str(tmp_path / "wcache")
     cfg = ExperimentConfig("scalar_convergence", "gauss", 2, 0.0,
@@ -238,10 +252,12 @@ def test_stability_report_structure():
 
 
 def test_theta_grid_summary_excludes_degenerate_window():
-    s2 = _theta_grid_summary(2)
-    assert 700 <= s2["theta_count"] < 721
-    assert s2["max_abs_re_root"] <= 1e-9
-    assert s2["min_beta"] > 1.0
+    # m = 11, 12 also cover the largest stage counts of the report
+    for m in (2, 11, 12):
+        s = _theta_grid_summary(m)
+        assert 700 <= s["theta_count"] < 721
+        assert s["max_abs_re_root"] <= 1e-9
+        assert s["min_beta"] > 1.0 and s["all_slopes_at_least_one"]
 
 
 def test_cancellation_table_range():

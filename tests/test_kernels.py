@@ -29,11 +29,11 @@ def test_eval_kmu_rejects_left_half_plane():
         eval_kmu(0.0, 1.0)
 
 
-def test_kmu_transfer_metadata_and_bound():
+def test_kmu_transfer_metadata():
     K = kmu_transfer(1.0)
-    assert K.dim == 1 and K.mu == 1.0 and K.conj_symmetric
+    assert K.dim == 1 and K.conj_symmetric and K.key == "kmu_1.0"
     s = np.array([0.7 + 11.0j, 3.0 - 200.0j])
-    assert np.all(np.abs(K.fn(s)) <= K.bound * np.abs(s) ** K.mu * (1 + 1e-12))
+    assert np.array_equal(K.fn(s), eval_kmu(s, 1.0))
 
 
 def test_kmu_conjugate_symmetry():
@@ -46,7 +46,6 @@ def test_power_transfer_is_pure_power():
     K = power_transfer(0.5)
     s = np.array([4.0, 1.0 + 1.0j])
     assert K.fn(s) == pytest.approx(np.sqrt(s), rel=1e-14)
-    assert K.bound == 1.0
 
 
 def test_sin_pow_exp_shape_and_zeros():

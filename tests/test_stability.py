@@ -79,8 +79,18 @@ def test_degenerate_angle_drops_one_root():
     assert deg_odd and roots_odd.size == 2
 
 
+def test_degenerate_angles_on_the_report_grid():
+    # only theta = 0 (even m) or theta = +-pi (odd m) drops the degree, also
+    # at m = 11, 12 where p_0 = (2m)!/m! dwarfs the leading coefficient
+    thetas = np.linspace(-np.pi, np.pi, 721)
+    for m in range(1, 13):
+        flagged = [th for th in thetas if solve_R_equals(m, np.exp(1j * th))[1]]
+        assert len(flagged) == (1 if m % 2 == 0 else 2)
+        assert np.allclose(np.abs(flagged), 0.0 if m % 2 == 0 else np.pi, atol=1e-12)
+
+
 def test_all_roots_purely_imaginary_sample_angles():
-    for m in (1, 2, 3, 4, 5, 6):
+    for m in range(1, 13):
         for theta in (0.3, 1.1, np.pi / 2, 2.7, -1.9):
             rs = m_theta_roots(m, theta)
             assert rs.y.size == m
@@ -105,6 +115,9 @@ def test_beta_two_formulas_agree_on_root_loci():
                 assert beta_from_residue(m, y) == pytest.approx(
                     beta_coefficient(m, y), rel=1e-9
                 )
+            # an array of y gives the scalar values element by element
+            assert np.array_equal(beta_coefficient(m, rs.y),
+                                  [beta_coefficient(m, y) for y in rs.y])
 
 
 def test_beta_exceeds_one_away_from_origin():
