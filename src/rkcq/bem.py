@@ -10,11 +10,13 @@ matrix Kd(s), and wraps the two frequency-domain solution operators
 as matrix-valued transfer functions for the convolution-quadrature engine
 (M is the panel-length mass matrix; inputs are panel-midpoint samples).
 
-Quadrature: 8x8 tensorized Gauss-Legendre for well-separated panel pairs,
-a 4-level geometrically graded subdivision toward the shared vertex for
-panels that touch, and a closed-form treatment of the log singularity on
-the diagonal.  The unit-circle mesh is rotation-invariant, so its matrices
-are symmetric circulant and only the first row is assembled; the discrete
+Quadrature: tensorized Gauss-Legendre of oscillation-adaptive order for
+well-separated panel pairs, a geometrically graded product rule toward the
+shared vertex for panels that touch, and a closed-form treatment of the log
+singularity on the diagonal.  Congruent panel pairs have equal entries, so
+a per-mesh pair plan groups the pairs into congruence classes and every
+frequency evaluates one representative per class; the unit circle has
+n//2 + 1 classes and exactly symmetric circulant matrices.  The discrete
 Fourier modes diagonalize every operator there, and BemTransfer.symbol
 returns the transfer operator's eigenvalues on the real-FFT lanes.
 """
@@ -59,7 +61,6 @@ def _rule01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-_X8, _W8 = _rule01(8)
 _X16, _W16 = _rule01(16)
 
 
@@ -131,9 +132,7 @@ class BoundaryMesh:
         self.normal = np.column_stack([t[:, 1], -t[:, 0]])
         self._gl = {}
         self._v1 = None
-        self._mirror_done = False
-        self._mirror = None
-        self._adjacent = {}
+        self._plan = None
 
     @property
     def n(self):
@@ -142,7 +141,8 @@ class BoundaryMesh:
     @property
     def circulant(self):
         """True when the mesh is rotation-invariant, so that V, Kd and M
-        are symmetric circulant (the unit circle)."""
+        are symmetric circulant (the unit circle): the predicate of the
+        per-Fourier-mode route."""
         return self.kind == "unit_circle"
 
     def gl_points(self, order=8):
@@ -161,50 +161,12 @@ class BoundaryMesh:
             self._v1 = assemble_V(1.0, self)
         return self._v1
 
-    def adjacent_plan(self, rows):
-        """Cached s-independent geometry of the touching pairs of rows
-        (see _adjacent_geometry); every frequency reuses it."""
-        key = tuple(int(i) for i in rows)
-        got = self._adjacent.get(key)
-        if got is None:
-            got = self._adjacent[key] = _adjacent_geometry(self, key)
-        return got
-
-    def mirror_permutation(self):
-        """Panel permutation of a reflection symmetry of the mesh, or None.
-
-        Tries reflections through the midpoint centroid across the four
-        standard axis directions (0, 45, 90, 135 degrees) and returns the
-        first involutive panel bijection that preserves midpoints and
-        lengths.  Both benchmark geometries have one; a mesh without it
-        just skips the symmetry shortcut in the dense assembly.
-        """
-        if self._mirror_done:
-            return self._mirror
-        self._mirror_done = True
-        ctr = self.mid.mean(axis=0)
-        tol = 1e-9 * self.length.max()
-        for phi in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-            Q = np.array(
-                [
-                    [np.cos(2 * phi), np.sin(2 * phi)],
-                    [np.sin(2 * phi), -np.cos(2 * phi)],
-                ]
-            )
-            mm = ctr + (self.mid - ctr) @ Q.T
-            d = np.linalg.norm(mm[:, None, :] - self.mid[None, :, :], axis=2)
-            sig = d.argmin(axis=1)
-            if d[np.arange(self.n), sig].max() > tol:
-                continue
-            if not np.array_equal(np.sort(sig), np.arange(self.n)):
-                continue
-            if np.any(sig[sig] != np.arange(self.n)):
-                continue
-            if not np.allclose(self.length[sig], self.length, rtol=0, atol=tol):
-                continue
-            self._mirror = sig
-            break
-        return self._mirror
+    def pair_plan(self):
+        """Cached s-independent pair plan (_PairPlan over the congruence
+        classes of _congruence_maps); every frequency reuses it."""
+        if self._plan is None:
+            self._plan = _PairPlan(self, *_congruence_maps(self))
+        return self._plan
 
 
 def _norm_name(name):
@@ -301,29 +263,103 @@ def _self_weighted_k0_integral(s, ell, kmax=30):
     return core + np.sum(w * (ell - r) * vals)
 
 
-def _diag_values(s, mesh):
-    """V_ii for every panel; equal-length panels share one evaluation."""
-    out = np.empty(mesh.n, dtype=complex)
-    done = {}
-    for i, ell in enumerate(mesh.length):
-        key = round(float(ell), 14)
-        if key not in done:
-            done[key] = 2.0 * _self_weighted_k0_integral(s, float(ell)) / (2.0 * np.pi)
-        out[i] = done[key]
-    return out
+def _frame_coordinates(mesh, j):
+    """Coordinates of every panel's endpoints in the frames of panels j.
+
+    The frame of panel j has origin a_j and axes t_j and n_j.  Returns the
+    x arrays (xa, xb, l_j - xa, l_j - xb) and the y arrays (ya, yb), each
+    (n, len(j)) with [i, k] for panel i in frame j[k].  The reflection
+    x -> l_j - x reverses panel j and keeps its normal; it maps panel i onto
+    the panel from (l_j - xb, yb) to (l_j - xa, ya), which carries the
+    reflected normal, so both forms of a pair give the same V and Kd.
+    """
+    t = (mesh.b[j] - mesh.a[j]) / mesh.length[j][:, None]
+    nj = mesh.normal[j]
+    ox = np.einsum("kd,kd->k", mesh.a[j], t)
+    oy = np.einsum("kd,kd->k", mesh.a[j], nj)
+    xa, xb = mesh.a @ t.T - ox, mesh.b @ t.T - ox
+    ell = mesh.length[j]
+    return (xa, xb, ell - xa, ell - xb), (mesh.a @ nj.T - oy, mesh.b @ nj.T - oy)
 
 
-def _adjacent_geometry(mesh, rows):
-    """s-independent geometry of the touching pairs (i, i+1), (i, i-1), i in rows.
+def _singleton_maps(n):
+    """Class maps (see _congruence_maps) with every unordered pair its own
+    class."""
+    iu, ju = np.triu_indices(n)
+    vmap = np.empty((n, n), dtype=np.int32)
+    vmap[iu, ju] = vmap[ju, iu] = np.arange(iu.size)
+    return vmap, 2 * vmap + np.tri(n, k=-1, dtype=np.int32)
 
-    Returns the shared vertex v, the far ends fi, fj of the test and trial
-    panels, the trial normal nj and both lengths for one representative
-    per congruence class, and back, the class of every pair in order.
+
+# frames per block of the class build: its coordinate arrays stay (n, 32),
+# so building a plan adds no n^2-sized float arrays to the peak memory
+_FRAME_BLOCK = 32
+
+
+def _congruence_maps(mesh):
+    """Congruence classes of the unordered panel pairs, as two (n, n) maps.
+
+    The key of an ordered pair (i, j) is the smaller form of panel i's
+    endpoints in panel j's frame (_frame_coordinates), and the class of
+    {i, j} is keyed by (key_ij, key_ji), sorted.  The coordinates carry
+    roundoff of about 1e-16 / l_j (4e-14 on the 512-panel circle), so they
+    are compared as clusters: the cells of width 1e-10 that hold a
+    coordinate, adjacent cells merged (rounding to 12 digits gave the
+    256-panel circle 140 classes in place of 129).  Equal coordinates
+    share a cluster wherever distinct ones lie further apart than 2e-10.
+    The frames are visited in blocks, once to find the clusters and once
+    to key the pairs.
+
+    vmap[i, j] is the class of {i, j}, whose representative is its first
+    member in row-major order of the upper triangle; kmap[i, j] is
+    2 vmap[i, j] when Kd_ij equals the representative (r, q)'s Kd_rq and
+    2 vmap[i, j] + 1 when it equals its Kd_qr.  A pair congruent to its own
+    transpose (key_ij = key_ji) takes Kd_rq both ways.
     """
     n = mesh.n
-    rows = np.asarray(rows, dtype=int)
-    i = np.repeat(rows, 2)
-    j = np.stack([(rows + 1) % n, (rows - 1) % n], axis=1).ravel()
+    tol = 1e-10 * np.abs(mesh.vertices).max()
+    blocks = [np.arange(k, min(k + _FRAME_BLOCK, n)) for k in range(0, n, _FRAME_BLOCK)]
+    found = ([], [])
+    for j in blocks:
+        for cells, coords in zip(found, _frame_coordinates(mesh, j)):
+            cells.extend(np.unique(np.floor(v / tol)) for v in coords)
+    cx, cy = (np.unique(np.concatenate(cells)) for cells in found)
+    ix, iy = (np.cumsum(np.diff(c, prepend=c[0] - 2.0) > 1.0) - 1 for c in (cx, cy))
+    ny = int(iy[-1]) + 1
+    npts = (int(ix[-1]) + 1) * ny
+    if npts >= 3e9:
+        # too many distinct coordinates to key a pair in 63 bits; such a
+        # mesh has next to no congruent pairs
+        return _singleton_maps(n)
+
+    def point(x, y):
+        rx = ix[np.searchsorted(cx, np.floor(x / tol))]
+        return rx * ny + iy[np.searchsorted(cy, np.floor(y / tol))]
+
+    key = np.empty((n, n), dtype=np.int64)
+    for j in blocks:
+        (xa, xb, rxa, rxb), (ya, yb) = _frame_coordinates(mesh, j)
+        key[:, j] = np.minimum(point(xa, ya) * npts + point(xb, yb),
+                               point(rxb, yb) * npts + point(rxa, ya))
+    iu, ju = np.triu_indices(n)
+    kij, kji = key[iu, ju], key[ju, iu]
+    swap = kji < kij
+    pair = np.stack([np.minimum(kij, kji), np.maximum(kij, kji)], axis=1)
+    _, first, cls = np.unique(pair, axis=0, return_index=True, return_inverse=True)
+    cls = cls.reshape(-1)
+    flip = swap ^ swap[first][cls]
+    sym = kij == kji
+    vmap = np.empty((n, n), dtype=np.int32)
+    vmap[iu, ju] = vmap[ju, iu] = cls
+    kmap = np.empty_like(vmap)
+    kmap[iu, ju] = 2 * cls + flip
+    kmap[ju, iu] = 2 * cls + (~flip & ~sym)
+    return vmap, kmap
+
+
+def _touching_geometry(mesh, i, j):
+    """Shared vertex v, far ends fi and fj, normals ni and nj and the
+    lengths of the touching pairs (i, j)."""
     fwd = np.all(np.abs(mesh.b[i] - mesh.a[j]) <= 1e-13, axis=1)
     bwd = np.all(np.abs(mesh.a[i] - mesh.b[j]) <= 1e-13, axis=1)
     if not np.all(fwd | bwd):
@@ -333,84 +369,7 @@ def _adjacent_geometry(mesh, rows):
     v = np.where(f, mesh.b[i], mesh.a[i])
     fi = np.where(f, mesh.a[i], mesh.b[i])
     fj = np.where(f, mesh.b[j], mesh.a[j])
-    nj = mesh.normal[j]
-    # Congruent pairs (same local geometry up to a rigid motion) give the
-    # same integrals, so evaluate one representative per congruence class.
-    # With a = fi - v, b = fj - v the class is fixed by the lengths and the
-    # relative orientations of b and nj with respect to a.
-    aa = fi - v
-    bb = fj - v
-    inv = np.stack(
-        [
-            np.einsum("kd,kd->k", aa, aa),
-            np.einsum("kd,kd->k", bb, bb),
-            np.einsum("kd,kd->k", aa, bb),
-            aa[:, 0] * bb[:, 1] - aa[:, 1] * bb[:, 0],
-            np.einsum("kd,kd->k", aa, nj),
-            aa[:, 0] * nj[:, 1] - aa[:, 1] * nj[:, 0],
-        ],
-        axis=1,
-    )
-    classes = {}
-    rep = []
-    back = np.empty(i.size, dtype=int)
-    for k, row in enumerate(np.round(inv, 12)):
-        key = tuple(row)
-        if key not in classes:
-            classes[key] = len(rep)
-            rep.append(k)
-        back[k] = classes[key]
-    rep = np.asarray(rep, dtype=int)
-    return v[rep], fi[rep], fj[rep], nj[rep], mesh.length[i[rep]], mesh.length[j[rep]], back
-
-
-def _adjacent_entries(s, mesh, rows, with_kd=True):
-    """Graded-quadrature V and Kd entries for the touching pairs (i, i+1)
-    and (i, i-1) of every i in rows, in that order (Kd None without
-    with_kd).
-
-    x runs over panel i (test), y over the neighbour j (trial); the kernel
-    normal is that of panel j.
-    """
-    v, fi, fj, nj, li, lj, back = mesh.adjacent_plan(rows)
-    lmax = max(li.max(), lj.max())
-    orders = tuple(_far_order(s, sp * lmax) for sp in _GRADE_SPANS)
-    xi, eta, wq = _graded_square(orders)
-    X = v[:, None, :] + xi[None, :, None] * (fi - v)[:, None, :]
-    Y = v[:, None, :] + eta[None, :, None] * (fj - v)[:, None, :]
-    dv = Y - X
-    R = np.linalg.norm(dv, axis=2)
-    scale = li * lj / (2.0 * np.pi)
-    if not with_kd:
-        k0v = bessel_k0(s * R.ravel()).reshape(R.shape)
-        return (scale * np.einsum("p,ap->a", wq, k0v))[back], None
-    k0v, k1v = k0k1(s * R.ravel())
-    k0v = k0v.reshape(R.shape)
-    k1v = k1v.reshape(R.shape)
-    dot = np.einsum("apd,ad->ap", dv, nj) / R
-    vvals = scale * np.einsum("p,ap->a", wq, k0v)
-    kvals = -s * scale * np.einsum("p,ap->a", wq, k1v * dot)
-    return vvals[back], kvals[back]
-
-
-# e^{-Re(s) r} bound on K0/K1 below which a pair contributes nothing: at 60
-# the kernel is ~1e-27, vanishing next to the near-diagonal entries even
-# after the CQ contour's lambda^{-N} roundoff amplification
-_DEAD_EXPONENT = 60.0
-
-
-def _masked_kernels(s, R, with_kd):
-    # evaluate K0 (and K1 with_kd) on the live lanes only; dead lanes stay
-    # zero, and k1v is None without with_kd
-    live = s.real * R <= _DEAD_EXPONENT
-    k0v = np.zeros(R.shape, dtype=complex)
-    k1v = np.zeros(R.shape, dtype=complex) if with_kd else None
-    if np.any(live):
-        if with_kd:
-            k0v[live], k1v[live] = k0k1(s * R[live])
-        else:
-            k0v[live] = bessel_k0(s * R[live])
-    return k0v, k1v
+    return v, fi, fj, mesh.normal[i], mesh.normal[j], mesh.length[i], mesh.length[j]
 
 
 def _point_segment_distance(p, a, d, dd):
@@ -453,141 +412,147 @@ def _pair_r_bounds(mesh, iu, ju):
     return rmin, rmax
 
 
-def _pair_orders(s, mesh, iu, ju):
-    """Per-pair tensor order from the radial spread of |x - y|.
+class _PairPlan:
+    """The s-independent part of a mesh's assembly.
+
+    Built from the class maps of _congruence_maps: each class's values are
+    computed once per frequency, on its representative (r, q), as V_rq,
+    Kd_rq and Kd_qr, and every matrix entry is gathered from them through
+    vmap and kmap.  The classes split by kind into the diagonal (panel
+    lengths), touching pairs (_touching_geometry) and far pairs (r-bounds
+    and the effective length that sets the quadrature order).
+    """
+
+    def __init__(self, mesh, vmap, kmap):
+        n = mesh.n
+        iu, ju = np.triu_indices(n)
+        _, first = np.unique(vmap[iu, ju], return_index=True)
+        ri, rj = iu[first], ju[first]
+        self.vmap, self.kmap, self.size = vmap, kmap, first.size
+        diag = ri == rj
+        touch = (rj - ri == 1) | ((ri == 0) & (rj == n - 1))
+        far = ~(diag | touch)
+        self.diag = np.flatnonzero(diag)
+        self.diag_length = mesh.length[ri[diag]]
+        self.touch = np.flatnonzero(touch)
+        self.touch_geometry = _touching_geometry(mesh, ri[touch], rj[touch])
+        self.far = np.flatnonzero(far)
+        self.far_i, self.far_j = ri[far], rj[far]
+        rmin, rmax = _pair_r_bounds(mesh, self.far_i, self.far_j)
+        lmax = np.maximum(mesh.length[self.far_i], mesh.length[self.far_j])
+        self.rmin = rmin
+        self.leff = np.minimum(lmax, 2.0 * (rmax - rmin))
+
+
+def _touching_values(s, geometry, with_kd):
+    """Graded-rule V_ij and (without with_kd None) the (Kd_ij, Kd_ji) rows of
+    touching pairs (i, j); x runs over panel i, y over panel j, and one
+    kernel evaluation serves both orientations."""
+    v, fi, fj, ni, nj, li, lj = geometry
+    lmax = max(li.max(), lj.max())
+    orders = tuple(_far_order(s, sp * lmax) for sp in _GRADE_SPANS)
+    xi, eta, wq = _graded_square(orders)
+    X = v[:, None, :] + xi[None, :, None] * (fi - v)[:, None, :]
+    Y = v[:, None, :] + eta[None, :, None] * (fj - v)[:, None, :]
+    dv = Y - X
+    R = np.linalg.norm(dv, axis=2)
+    scale = li * lj / (2.0 * np.pi)
+    if not with_kd:
+        k0v = bessel_k0(s * R.ravel()).reshape(R.shape)
+        return scale * np.einsum("p,ap->a", wq, k0v), None
+    k0v, k1v = k0k1(s * R.ravel())
+    k0v = k0v.reshape(R.shape)
+    k1v = k1v.reshape(R.shape)
+    dotu = np.einsum("apd,ad->ap", dv, nj) / R
+    dotl = -np.einsum("apd,ad->ap", dv, ni) / R
+    kij = -s * scale * np.einsum("p,ap->a", wq, k1v * dotu)
+    kji = -s * scale * np.einsum("p,ap->a", wq, k1v * dotl)
+    return scale * np.einsum("p,ap->a", wq, k0v), np.stack([kij, kji], axis=1)
+
+
+# e^{-Re(s) r} bound on K0/K1 below which a pair contributes nothing: at 60
+# the kernel is ~1e-27, vanishing next to the near-diagonal entries even
+# after the CQ contour's lambda^{-N} roundoff amplification
+_DEAD_EXPONENT = 60.0
+
+
+def _masked_kernels(s, R, with_kd):
+    # evaluate K0 (and K1 with_kd) on the live lanes only; dead lanes stay
+    # zero, and k1v is None without with_kd
+    live = s.real * R <= _DEAD_EXPONENT
+    k0v = np.zeros(R.shape, dtype=complex)
+    k1v = np.zeros(R.shape, dtype=complex) if with_kd else None
+    if np.any(live):
+        if with_kd:
+            k0v[live], k1v[live] = k0k1(s * R[live])
+        else:
+            k0v[live] = bessel_k0(s * R[live])
+    return k0v, k1v
+
+
+def _pair_orders(s, leff):
+    """Per-pair tensor order from the effective length leff.
 
     The kernel phase along one panel varies with r, whose total variation
     at fixed y is bounded both by the panel length and by twice the global
-    radial spread of the pair, so pairs that face each other broadside
-    resolve with far fewer points than end-on ones.  Orders are rounded up
-    to even to keep the quadrature cache small.
+    radial spread of the pair (leff is the smaller of the two), so pairs
+    that face each other broadside resolve with far fewer points than
+    end-on ones.  Orders are rounded up to even to keep the quadrature
+    cache small.
     """
-    rmin, rmax = _pair_r_bounds(mesh, iu, ju)
-    leff = np.minimum(np.maximum(mesh.length[iu], mesh.length[ju]), 2.0 * (rmax - rmin))
     w = np.abs(s) * leff / 2.0
     orders = np.clip(np.ceil(0.625 * w).astype(int) + 8, 8, 48)
-    return (orders + 1) & ~1, rmin
+    return (orders + 1) & ~1
 
 
-def _far_field_pairs(s, mesh, iu, ju, V, Kd):
-    """Smooth-kernel V and Kd entries for the given non-touching ordered
-    pairs, scattered into V[iu, ju] and Kd[iu, ju] (one orientation); Kd
-    None assembles V alone."""
-    orders, rmin = _pair_orders(s, mesh, iu, ju)
-    live = s.real * rmin <= _DEAD_EXPONENT
-    iu, ju, orders = iu[live], ju[live], orders[live]
+def _far_values(s, mesh, plan, v, kd):
+    """Smooth-kernel values of the far classes into v and kd (None: V alone).
+
+    R is symmetric, so one K0/K1 evaluation on the representative (i, j)
+    serves V and both Kd orientations (they differ just in which panel's
+    normal enters the dot factor and in the sign of the difference vector).
+    """
+    orders = _pair_orders(s, plan.leff)
+    live = s.real * plan.rmin <= _DEAD_EXPONENT
+    cls, iu, ju, orders = plan.far[live], plan.far_i[live], plan.far_j[live], orders[live]
     for o in np.unique(orders):
         sel = orders == o
-        ic, jc = iu[sel], ju[sel]
-        P, W = mesh.gl_points(int(o))
-        chunk = max(32, 4_000_000 // int(o * o))
-        for p0 in range(0, ic.size, chunk):
-            i0, j0 = ic[p0 : p0 + chunk], jc[p0 : p0 + chunk]
-            dv = P[j0][:, None, :, :] - P[i0][:, :, None, :]
-            R = np.linalg.norm(dv, axis=3)
-            k0v, k1v = _masked_kernels(s, R, Kd is not None)
-            Wi, Wj = W[i0], W[j0]
-            V[i0, j0] = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
-            if Kd is None:
-                continue
-            dot = np.einsum("pghd,pd->pgh", dv, mesh.normal[j0]) / R
-            Kd[i0, j0] = -s / (2.0 * np.pi) * np.einsum(
-                "pg,ph,pgh->p", Wi, Wj, k1v * dot
-            )
-
-
-def _near_entries(s, mesh, rows, V, Kd):
-    """Write the touching-pair and diagonal entries of rows into V and Kd
-    (V alone when Kd is None)."""
-    n = mesh.n
-    vadj, kadj = _adjacent_entries(s, mesh, rows, with_kd=Kd is not None)
-    nxt, prv = (rows + 1) % n, (rows - 1) % n
-    V[rows, nxt], V[rows, prv] = vadj[0::2], vadj[1::2]
-    V[rows, rows] = _diag_values(s, mesh)[rows]
-    if Kd is not None:
-        Kd[rows, nxt], Kd[rows, prv] = kadj[0::2], kadj[1::2]
-        Kd[rows, rows] = 0.0
-
-
-def _circulant_row(s, mesh, with_kd=True):
-    """First rows of V and Kd on a circulant mesh (Kd None without with_kd).
-
-    The reflection through panel 0's midpoint maps panel d onto panel
-    n - d and keeps |x - y| and the normal-derivative factor, so entry
-    n - d of each row equals entry d: the far field is integrated for
-    2 <= d <= n/2 only.
-    """
-    n = mesh.n
-    V = np.zeros((1, n), dtype=complex)
-    Kd = np.zeros((1, n), dtype=complex) if with_kd else None
-    ju = np.arange(2, n // 2 + 1)
-    _far_field_pairs(s, mesh, np.zeros_like(ju), ju, V, Kd)
-    for M in (V, Kd):
-        if M is not None:
-            M[0, n - ju] = M[0, ju]
-    _near_entries(s, mesh, np.array([0]), V, Kd)
-    return V[0], None if Kd is None else Kd[0]
-
-
-def _assemble_full(s, mesh, with_kd=True):
-    """Dense V and Kd over all panel pairs (Kd None without with_kd).
-
-    The smooth far-field work runs on the unordered pair triangle only: R is
-    symmetric, so one K0/K1 evaluation serves V_ij = V_ji and both Kd
-    orientations (they differ just in which panel's normal enters the dot
-    factor and in the sign of the difference vector).
-    """
-    n = mesh.n
-    iu, ju = np.triu_indices(n)
-    near = (iu == ju) | (ju - iu == 1) | ((iu == 0) & (ju == n - 1))
-    iu, ju = iu[~near], ju[~near]
-    V = np.zeros((n, n), dtype=complex)
-    Kd = np.zeros((n, n), dtype=complex) if with_kd else None
-    # a reflection symmetry of the mesh makes mirrored pairs redundant:
-    # |x - y| and (y - x) . n_y are reflection invariants, so only orbit
-    # representatives need quadrature
-    sig = mesh.mirror_permutation()
-    mi = mj = None
-    if sig is not None:
-        p = np.minimum(sig[iu], sig[ju])
-        q = np.maximum(sig[iu], sig[ju])
-        rep = (iu < p) | ((iu == p) & (ju <= q))
-        mi, mj = iu[rep], ju[rep]
-        iu, ju = mi, mj
-    orders, rmin = _pair_orders(s, mesh, iu, ju)
-    live = s.real * rmin <= _DEAD_EXPONENT
-    iu, ju, orders = iu[live], ju[live], orders[live]
-    for o in np.unique(orders):
-        sel = orders == o
-        io, jo = iu[sel], ju[sel]
+        co, io, jo = cls[sel], iu[sel], ju[sel]
         P, W = mesh.gl_points(int(o))
         chunk = max(32, 4_000_000 // int(o * o))
         for p0 in range(0, io.size, chunk):
-            ic, jc = io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
+            c, ic, jc = co[p0 : p0 + chunk], io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
             dv = P[jc][:, None, :, :] - P[ic][:, :, None, :]
             R = np.linalg.norm(dv, axis=3)
-            k0v, k1v = _masked_kernels(s, R, with_kd)
+            k0v, k1v = _masked_kernels(s, R, kd is not None)
             Wi, Wj = W[ic], W[jc]
-            vp = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
-            V[ic, jc] = vp
-            V[jc, ic] = vp
-            if not with_kd:
+            v[c] = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
+            if kd is None:
                 continue
             dotu = np.einsum("pghd,pd->pgh", dv, mesh.normal[jc]) / R
             dotl = -np.einsum("pghd,pd->pgh", dv, mesh.normal[ic]) / R
-            ku = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu)
-            kl = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)
-            Kd[ic, jc] = ku
-            Kd[jc, ic] = kl
-    if sig is not None:
-        si, sj = sig[mi], sig[mj]
-        V[si, sj] = V[mi, mj]
-        V[sj, si] = V[mi, mj]
-        if with_kd:
-            Kd[si, sj] = Kd[mi, mj]
-            Kd[sj, si] = Kd[mj, mi]
-    _near_entries(s, mesh, np.arange(n), V, Kd)
-    return V, Kd
+            kd[c, 0] = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu)
+            kd[c, 1] = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)
+
+
+def _assemble(s, mesh, plan, with_kd=True, rows=slice(None)):
+    """Rows of dense V and Kd (Kd None without with_kd) from a pair plan;
+    all rows by default.
+
+    Each class is evaluated on its representative only: the closed form on
+    the diagonal (where Kd vanishes), the graded rule on touching pairs and
+    the tensor Gauss-Legendre rule on far pairs; one gather per matrix then
+    writes every member.
+    """
+    v = np.zeros(plan.size, dtype=complex)
+    kd = np.zeros((plan.size, 2), dtype=complex) if with_kd else None
+    for c, ell in zip(plan.diag, plan.diag_length):
+        v[c] = 2.0 * _self_weighted_k0_integral(s, float(ell)) / (2.0 * np.pi)
+    v[plan.touch], kt = _touching_values(s, plan.touch_geometry, with_kd)
+    if with_kd:
+        kd[plan.touch] = kt
+    _far_values(s, mesh, plan, v, kd)
+    return v[plan.vmap[rows]], None if kd is None else kd.ravel()[plan.kmap[rows]]
 
 
 def _frequency(s):
@@ -604,12 +569,8 @@ def _circulant(row):
 
 
 def assemble_pair(s, mesh):
-    """Assemble (V(s), Kd(s)) in one pass; circulant fast path on the circle."""
-    s = _frequency(s)
-    if mesh.circulant:
-        rowV, rowK = _circulant_row(s, mesh)
-        return _circulant(rowV), _circulant(rowK)
-    return _assemble_full(s, mesh)
+    """Assemble (V(s), Kd(s)) in one pass over the mesh's pair plan."""
+    return _assemble(_frequency(s), mesh, mesh.pair_plan())
 
 
 def assemble_V(s, mesh):
@@ -618,10 +579,7 @@ def assemble_V(s, mesh):
     Only K0 is evaluated; the result equals assemble_pair(s, mesh)[0] bit
     for bit.
     """
-    s = _frequency(s)
-    if mesh.circulant:
-        return _circulant(_circulant_row(s, mesh, with_kd=False)[0])
-    return _assemble_full(s, mesh, with_kd=False)[0]
+    return _assemble(_frequency(s), mesh, mesh.pair_plan(), with_kd=False)[0]
 
 
 def assemble_Kd(s, mesh):
@@ -688,16 +646,13 @@ class BemTransfer:
             raise ValueError("symbol needs a circulant mesh, got %r" % mesh.kind)
         lanes = mesh.n // 2 + 1
         ell = mesh.length[0]
+        isl = self.operator == "inverse_single_layer"
         sv = np.asarray(s, dtype=complex)
         out = np.empty(sv.shape + (lanes,), dtype=complex)
         for idx in np.ndindex(sv.shape):
-            si = _frequency(sv[idx])
-            if self.operator == "inverse_single_layer":
-                rowV, _ = _circulant_row(si, mesh, with_kd=False)
-                out[idx] = ell / np.fft.fft(rowV)[:lanes]
-            else:
-                rowV, rowK = _circulant_row(si, mesh)
-                out[idx] = (-0.5 * ell + np.fft.fft(rowK)[:lanes]) / np.fft.fft(rowV)[:lanes]
+            V, Kd = _assemble(_frequency(sv[idx]), mesh, mesh.pair_plan(), with_kd=not isl, rows=0)
+            v = np.fft.fft(V)[:lanes]
+            out[idx] = ell / v if isl else (-0.5 * ell + np.fft.fft(Kd)[:lanes]) / v
         return out
 
     def __call__(self, s):

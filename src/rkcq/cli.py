@@ -1,10 +1,12 @@
 """Command-line driver: preset tables, custom config runs, stability reports."""
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
-from .harness import ExperimentConfig, run_config, run_stability_report, run_table
+from .harness import ExperimentConfig, _write_atomic, run_config, run_stability_report, run_table
 
 _TABLES = ("table1", "table2", "table3", "table4", "table5")
 
@@ -55,12 +57,9 @@ def main(argv=None):
         report = run_stability_report(_parse_m_range(args.m_range))
         text = json.dumps(report, indent=2)
         if args.out:
-            import os
-
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, "stability_report.json")
-            with open(path, "w") as f:
-                f.write(text + "\n")
+            _write_atomic(path, text + "\n")
             print(path)
         else:
             print(text)
@@ -78,8 +77,7 @@ def main(argv=None):
             over["n_panels"] = args.panels
         if args.nref is not None:
             over["N_ref"] = args.nref
-        if over:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **over})
+        cfg = dataclasses.replace(cfg, **over)
         run_config(cfg, args.out)
         print(args.out)
         return 0

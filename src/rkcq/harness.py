@@ -7,6 +7,7 @@ index).  Presets table1..table5 reproduce the published scalar and
 boundary-element convergence studies at desk scale.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import re
 import time
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -143,10 +144,26 @@ def _weights_identity(key, tab, eps, N, h, shape):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest():
+    """SHA-256 of the package's Python sources, read on first use only."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as f:
+            h.update(name.encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
 def _weights_cache_path(cfg, K, tab, h, N):
-    """Cache file of K's weights and the identity a stored set must match."""
+    """Cache file of K's weights and the identity a stored set must match.
+
+    The file name also hashes the package sources, so weights written by
+    other code (another quadrature, say) are never served.
+    """
     ident = _weights_identity(K.key, tab, cfg.eps, N, h, weights_shape(K, tab, N))
-    digest = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()[:24]
+    named = dict(ident, code=_source_digest())
+    digest = hashlib.sha256(json.dumps(named, sort_keys=True).encode()).hexdigest()[:24]
     name = "%s_%s.npz" % (re.sub(r"[^A-Za-z0-9_.-]", "_", K.key), digest)
     return os.path.join(cfg.weights_cache, name), ident
 
@@ -490,9 +507,7 @@ def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cach
             over["threads"] = threads
         if weights_cache is not None:
             over["weights_cache"] = weights_cache
-        if over:
-            cfg = ExperimentConfig(**{**cfg.to_dict(), **over,
-                                      "N_list": cfg.N_list, "m_range": cfg.m_range})
+        cfg = replace(cfg, **over)
         # reject bad grids in every cell before any reference solve starts
         _check_grids(cfg)
         cfgs.append(cfg)

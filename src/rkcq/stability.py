@@ -17,6 +17,7 @@ against the imaginary roots.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_legendre
@@ -121,11 +122,13 @@ class StageOrderDefect:
     C: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def pade_coeffs(m):
     """Coefficients p_j = (2m-j)!/(j!(m-j)!) of P_m, exact integers.
 
     Computed by the downward ratio p_j = p_{j+1} (2m-j)(j+1)/(m-j) from the
-    monic top; every intermediate quotient is an exact integer.
+    monic top; every intermediate quotient is an exact integer.  The result
+    is cached per m, so its coeffs array is read-only.
     """
     if not 1 <= m <= 24:
         raise ValueError("pade_coeffs supports 1 <= m <= 24, got %r" % m)
@@ -138,7 +141,20 @@ def pade_coeffs(m):
             raise AssertionError("ratio update lost integrality at j=%d" % j)
         ints[j] = div
     coeffs = np.array([float(v) for v in ints])
+    coeffs.flags.writeable = False
     return PadePolynomial(m=m, coeffs=coeffs, exact=tuple(ints))
+
+
+def _polished_roots(q):
+    """Roots of the polynomial with ascending coefficients q: the companion
+    matrix eigenvalues (np.roots) plus one Newton step."""
+    roots = np.roots(q[::-1]).astype(complex)
+    dq = q[1:] * np.arange(1, len(q))
+    num = np.polyval(q[::-1], roots)
+    den = np.polyval(dq[::-1], roots)
+    ok = np.abs(den) > 0
+    roots[ok] = roots[ok] - num[ok] / den[ok]
+    return roots
 
 
 def solve_R_equals(m, w):
@@ -162,13 +178,7 @@ def solve_R_equals(m, w):
     qq = q[:m] if degenerate else q
     if len(qq) < 2:
         return np.zeros(0, dtype=complex), degenerate
-    roots = np.roots(qq[::-1]).astype(complex)
-    dq = qq[1:] * np.arange(1, len(qq))
-    num = np.polyval(qq[::-1], roots)
-    den = np.polyval(dq[::-1], roots)
-    ok = np.abs(den) > 0
-    roots[ok] = roots[ok] - num[ok] / den[ok]
-    return roots, degenerate
+    return _polished_roots(qq), degenerate
 
 
 def beta_coefficient(m, y):
@@ -226,7 +236,7 @@ def m_theta_roots(m, theta):
             "root with |Re| = %g > 1e-9 for m=%d, theta=%g" % (np.max(np.abs(roots.real)), m, theta)
         )
     y = np.sort(roots.imag)
-    betas = np.array([beta_coefficient(m, yi) for yi in y])
+    betas = beta_coefficient(m, y)
     return ThetaRootSet(m=m, theta=theta, y=y, betas=betas, degenerate=degenerate)
 
 
@@ -268,6 +278,13 @@ def _escape_constant(m, wsign, t1=1e-3, t2=1e-4):
     return (t1 * v2 - t2 * v1) / (t1 - t2)
 
 
+def _theta0_positive_roots(m):
+    """Positive imaginary parts r of the nonzero roots of R_m(z) = 1, sorted."""
+    roots, _ = solve_R_equals(m, 1.0)
+    y = roots.imag[np.abs(roots) > 1e-7]
+    return np.sort(y[y > 0])
+
+
 def characterize_theta0(m):
     """Positive imaginary roots r_l at theta=0, their slopes delta_l, and
     for even m the escape constant D with t*z_max(t,0) -> D.
@@ -277,10 +294,8 @@ def characterize_theta0(m):
     """
     if m < 2:
         raise ValueError("characterize_theta0 needs m >= 2")
-    roots, _ = solve_R_equals(m, 1.0)
-    y = roots.imag[np.abs(roots) > 1e-7]
-    r = np.sort(y[y > 0])
-    delta = np.array([beta_coefficient(m, ri) for ri in r])
+    r = _theta0_positive_roots(m)
+    delta = beta_coefficient(m, r)
     if m % 2 == 0:
         D = _escape_constant(m, 1.0)
         D_product = pade_coeffs(m).exact[0] / float(np.prod(r ** 2)) if r.size else float(
@@ -303,7 +318,7 @@ def characterize_theta_pi(m):
         raise ValueError("characterize_theta_pi needs m >= 1")
     roots, _ = solve_R_equals(m, -1.0)
     rho = np.sort(roots.imag[roots.imag > 0])
-    gamma = np.array([beta_coefficient(m, ri) for ri in rho])
+    gamma = beta_coefficient(m, rho)
     if m % 2 == 1:
         E = _escape_constant(m, -1.0)
         p0 = pade_coeffs(m).exact[0]
@@ -331,13 +346,7 @@ def stability_function_roots(tableau, value):
     q = pn - value * pd
     if abs(q[m]) < 1e-14 * np.max(np.abs(q)):
         raise ValueError("degenerate value: a root escapes to infinity")
-    roots = np.roots(q[::-1]).astype(complex)
-    dq = (q[:m] * np.arange(1, m + 1))[::-1]
-    num = np.polyval(q[::-1], roots)
-    den = np.polyval(dq, roots)
-    ok = np.abs(den) > 0
-    roots[ok] = roots[ok] - num[ok] / den[ok]
-    return roots
+    return _polished_roots(q)
 
 
 def delta_spectrum_matches(tableau, zeta):
@@ -377,9 +386,7 @@ def cancellation_check(m):
     if m < 2:
         raise ValueError("cancellation_check needs m >= 2")
     tab = gauss_tableau(m)
-    roots, _ = solve_R_equals(m, 1.0)
-    y = roots.imag[np.abs(roots) > 1e-7]
-    rpos = np.sort(y[y > 0])
+    rpos = _theta0_positive_roots(m)
     if rpos.size == 0:
         return 0.0
     # The defect direction is the collocation interpolation-error integral

@@ -66,8 +66,8 @@ def test_degenerate_panel_rejected():
 
 
 def test_circulant_matches_dense_assembly():
-    # the circle fast path builds one row and expands it; a kind-stripped
-    # copy of the same mesh forces the generic dense assembly
+    # assembly does not depend on the mesh kind: a kind-stripped copy of
+    # the circle (no per-mode route) assembles the same matrices
     mesh = bem.make_mesh("unit_circle", 32)
     plain = bem.BoundaryMesh(
         kind="custom", vertices=mesh.vertices.copy(), panels=mesh.panels.copy()
@@ -75,8 +75,7 @@ def test_circulant_matches_dense_assembly():
     s = 2.0 + 5.0j
     V1, K1 = bem.assemble_pair(s, mesh)
     V2, K2 = bem.assemble_pair(s, plain)
-    assert np.abs(V1 - V2).max() <= 1e-13 * np.abs(V1).max()
-    assert np.abs(K1 - K2).max() <= 1e-13 * np.abs(K1).max()
+    assert np.array_equal(V1, V2) and np.array_equal(K1, K2)
 
 
 def test_symbol_transfer_matches_dense_solve():
@@ -137,26 +136,65 @@ def test_single_layer_symmetry():
         assert np.abs(V - V.T).max() <= 1e-13 * np.abs(V).max()
 
 
-def test_cached_adjacent_plan_assembles_bit_identically():
-    # the second frequency on a mesh reuses the touching-pair geometry the
-    # first one cached; it must give exactly what a fresh mesh gives
+@pytest.mark.parametrize("kind", ["unit_circle", "l_shape"])
+def test_pair_plan_matches_singleton_plan(kind):
+    # one representative per congruence class reproduces the assembly that
+    # integrates every pair, at large Re s and at |Im s| >> Re s too
+    mesh = bem.make_mesh(kind, 32)
+    single = bem._PairPlan(mesh, *bem._singleton_maps(mesh.n))
+    assert single.size == 32 * 33 // 2 > mesh.pair_plan().size
+    for s in (1.0, 2.0 + 5.0j, 40.0 + 3.0j, 0.3 - 17.0j):
+        V1, K1 = bem.assemble_pair(s, mesh)
+        V2, K2 = bem._assemble(complex(s), mesh, single)
+        assert np.abs(V1 - V2).max() <= 1e-13 * np.abs(V2).max(), s
+        assert np.abs(K1 - K2).max() <= 1e-12 * np.abs(K2).max(), s
+
+
+def test_pair_plan_class_counts():
+    # circle: one class per offset d = 0..n/2 (d and n - d are mirror
+    # images); L-shape: 3 panel lengths, 7 touching and 869 far classes
+    for n in (32, 128, 256):
+        plan = bem.make_mesh("unit_circle", n).pair_plan()
+        assert (plan.size, plan.diag.size, plan.touch.size) == (n // 2 + 1, 1, 1)
+    plan = bem.make_mesh("l_shape", 64).pair_plan()
+    assert (plan.diag.size, plan.touch.size, plan.far.size) == (3, 7, 869)
+
+
+def test_irregular_polygon_has_no_congruent_pairs():
+    # every pair of a random star polygon is its own class, also past the
+    # coordinate count that a 63-bit pair key can hold (240 panels)
+    rng = np.random.default_rng(5)
+    for n in (40, 240):
+        th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        r = rng.uniform(0.5, 1.5, n)
+        idx = np.arange(n)
+        mesh = bem.BoundaryMesh("custom", np.column_stack([r * np.cos(th), r * np.sin(th)]),
+                                np.column_stack([idx, (idx + 1) % n]))
+        assert mesh.pair_plan().size == n * (n + 1) // 2
+
+
+def test_circle_rows_are_exactly_symmetric():
+    mesh = bem.make_mesh("unit_circle", 64)
+    for s in (1.0, 2.0 + 5.0j, 30.0 + 40.0j, 0.3 - 17.0j):
+        V, K = bem.assemble_pair(s, mesh)
+        for row in (V[0], K[0]):
+            assert np.array_equal(row[1:], row[:0:-1]), s
+        # and the matrices are exactly circulant
+        assert np.array_equal(V, bem._circulant(V[0]))
+        assert np.array_equal(K, bem._circulant(K[0]))
+
+
+def test_cached_pair_plan_assembles_bit_identically():
+    # the second frequency on a mesh reuses the pair plan the first one
+    # cached; it must give exactly what a fresh mesh gives
     for kind in ("unit_circle", "l_shape"):
         warm = bem.make_mesh(kind, 32)
         bem.assemble_pair(3.0 + 2.0j, warm)
-        assert warm._adjacent
+        assert warm._plan is not None
         for s in (0.5 + 1.0j, 4.0 - 25.0j):
             V1, K1 = bem.assemble_pair(s, warm)
             V2, K2 = bem.assemble_pair(s, bem.make_mesh(kind, 32))
             assert np.array_equal(V1, V2) and np.array_equal(K1, K2)
-
-
-def test_mirror_permutation_properties():
-    for kind in ("unit_circle", "l_shape"):
-        mesh = bem.make_mesh(kind, 64)
-        sig = mesh.mirror_permutation()
-        assert sig is not None
-        assert np.array_equal(sig[sig], np.arange(64))
-        assert np.allclose(mesh.length[sig], mesh.length)
 
 
 def test_quadrature_order_stability():
@@ -164,19 +202,18 @@ def test_quadrature_order_stability():
     # matrices: the adaptive orders already resolve the integrands
     mesh = bem.make_mesh("l_shape", 48)
     s = 30.0 + 40.0j
-    V1, K1 = bem._assemble_full(s, mesh)
+    V1, K1 = bem.assemble_pair(s, mesh)
     orig_far, orig_pair = bem._far_order, bem._pair_orders
 
     def far48(s_, lmax):
         return 48
 
-    def pair48(s_, mesh_, iu, ju):
-        orders, rmin = orig_pair(s_, mesh_, iu, ju)
-        return np.full_like(orders, 48), rmin
+    def pair48(s_, leff):
+        return np.full_like(orig_pair(s_, leff), 48)
 
     bem._far_order, bem._pair_orders = far48, pair48
     try:
-        V2, K2 = bem._assemble_full(s, mesh)
+        V2, K2 = bem.assemble_pair(s, mesh)
     finally:
         bem._far_order, bem._pair_orders = orig_far, orig_pair
     assert np.abs(V1 - V2).max() <= 1e-8 * np.abs(V1).max()

@@ -175,6 +175,33 @@ def test_weights_cache_rejects_a_mismatched_shape(tmp_path):
     assert load_weights(path).W.shape == (9, 2, 2)
 
 
+def test_weights_cache_ignores_files_of_other_sources(tmp_path, monkeypatch):
+    # a weight file written by other package sources is recomputed, not served
+    cfg, K, tab = _cache_cfg(tmp_path), kmu_transfer(0.0), gauss_tableau(2)
+    monkeypatch.setattr(harness, "_source_digest", lambda: "old sources")
+    stale = compute_weights(K, tab, 0.1, 8, eps=cfg.eps)
+    stale.W = 2.0 * stale.W
+    path, _ = harness._weights_cache_path(cfg, K, tab, 0.1, 8)
+    os.makedirs(cfg.weights_cache)
+    save_weights(stale, path)
+    assert np.array_equal(harness._weights(cfg, K, tab, 0.1, 8).W, stale.W)
+    monkeypatch.setattr(harness, "_source_digest", lambda: "new sources")
+    got = harness._weights(cfg, K, tab, 0.1, 8)
+    assert np.array_equal(got.W, compute_weights(K, tab, 0.1, 8, eps=cfg.eps).W)
+    assert len(os.listdir(cfg.weights_cache)) == 2
+
+
+def test_source_digest_is_read_only_with_a_cache(monkeypatch):
+    assert len(harness._source_digest()) == 64
+
+    def unread():
+        raise AssertionError("sources hashed without a weights cache")
+
+    monkeypatch.setattr(harness, "_source_digest", unread)
+    cfg = ExperimentConfig("scalar_convergence", "gauss", 2, 0.0, N_list=(8,), N_ref=32)
+    harness._weights(cfg, kmu_transfer(0.0), gauss_tableau(2), 0.1, 8)
+
+
 def test_weights_cache_skips_unkeyed_kernels(tmp_path):
     cfg, tab = _cache_cfg(tmp_path), gauss_tableau(2)
     Ka = TransferFunction(fn=lambda s: 1.0 / s)
