@@ -38,13 +38,11 @@ __all__ = [
     "mesh_to_json",
     "mesh_from_json",
     "assemble_V",
-    "assemble_Kd",
     "assemble_pair",
     "mass_matrix",
     "BemTransfer",
     "make_transfer",
     "make_mode_transfer",
-    "hminus_half_norm",
     "error_metric",
 ]
 
@@ -519,7 +517,7 @@ def _far_values(s, mesh, plan, v, kd):
         sel = orders == o
         co, io, jo = cls[sel], iu[sel], ju[sel]
         P, W = mesh.gl_points(int(o))
-        chunk = max(32, 4_000_000 // int(o * o))
+        chunk = max(32, 500_000 // int(o * o))
         for p0 in range(0, io.size, chunk):
             c, ic, jc = co[p0 : p0 + chunk], io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
             dv = P[jc][:, None, :, :] - P[ic][:, :, None, :]
@@ -563,9 +561,10 @@ def _frequency(s):
 
 
 def _circulant(row):
-    """The circulant matrix C_ij = row[(j - i) mod n]."""
-    n = row.size
-    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    """The circulant matrices C_ij = row[..., (j - i) mod n] of the rows
+    along the last axis."""
+    n = row.shape[-1]
+    return row[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def assemble_pair(s, mesh):
@@ -580,11 +579,6 @@ def assemble_V(s, mesh):
     for bit.
     """
     return _assemble(_frequency(s), mesh, mesh.pair_plan(), with_kd=False)[0]
-
-
-def assemble_Kd(s, mesh):
-    """Galerkin averaged double-layer matrix, kernel d/dn_y (1/2pi)K0(s|x-y|)."""
-    return assemble_pair(s, mesh)[1]
 
 
 def mass_matrix(mesh):
@@ -604,13 +598,14 @@ class ScatteringProblem:
 
 
 class BemTransfer:
-    """Picklable frequency-domain solution operator s -> n x n matrix.
+    """Picklable frequency-domain solution operator: frequencies of shape S
+    -> n x n matrices of shape S + (n, n).
 
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
-    data to the outward normal derivative of the exterior solution.  On a
-    circulant mesh the matrix is built from symbol(s), without a dense
-    solve.
+    data to the outward normal derivative of the exterior solution.  Each
+    frequency takes one assembly and one dense solve; on a circulant mesh
+    the matrices are built from symbol(s), without a dense solve.
     """
 
     def __init__(self, mesh, operator):
@@ -656,20 +651,24 @@ class BemTransfer:
         return out
 
     def __call__(self, s):
+        n = self.mesh.n
         if self.mesh.circulant:
             lam = self.symbol(s)
-            full = np.concatenate([lam, lam[1 : (self.mesh.n + 1) // 2][::-1]])
-            return _circulant(np.fft.ifft(full))
-        V, Kd = assemble_pair(s, self.mesh)
+            full = np.concatenate([lam, lam[..., 1 : (n + 1) // 2][..., ::-1]], axis=-1)
+            return _circulant(np.fft.ifft(full, axis=-1))
+        sv = np.asarray(s, dtype=complex)
+        out = np.empty(sv.shape + (n, n), dtype=complex)
         M = mass_matrix(self.mesh)
-        if self.operator == "inverse_single_layer":
-            return np.linalg.solve(V, M.astype(complex))
-        return np.linalg.solve(V, -0.5 * M + Kd)
+        for idx in np.ndindex(sv.shape):
+            V, Kd = assemble_pair(sv[idx], self.mesh)
+            rhs = M if self.operator == "inverse_single_layer" else -0.5 * M + Kd
+            out[idx] = np.linalg.solve(V, rhs)
+        return out
 
 
 def make_transfer(problem, mesh=None):
     """TransferFunction for the problem's frequency-domain operator: s -> the
-    dense n x n matrix on any mesh."""
+    dense n x n matrix on any mesh, for an array of frequencies at once."""
     if mesh is None:
         mesh = make_mesh(problem.geometry, problem.n_panels)
     fn = BemTransfer(mesh, problem.operator)
@@ -700,13 +699,6 @@ def make_mode_transfer(problem, mesh):
         conj_symmetric=True,
         lanes=mesh.n // 2 + 1,
     )
-
-
-def hminus_half_norm(phi, mesh):
-    """Energy norm sqrt(Re <V(1) phi, phi>) of a density dof vector."""
-    phi = np.asarray(phi)
-    val = np.real(np.conj(phi) @ (mesh.v_one() @ phi))
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def error_metric(traces, reference, h, mesh):

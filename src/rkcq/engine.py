@@ -13,23 +13,20 @@ while the amplification stays <= 1e3, which measurement shows is required for
 weight-level accuracy near 1e-9 (kernels with non-decaying weight tails sit
 exactly on the aliasing floor).
 
-Kernel shapes.  A scalar kernel (dim 1) is evaluated elementwise on every
-contour node at once; its weights are (N+1, m, m) blocks.  A diagonal
-kernel carries a trailing lane axis: it declares lanes = k, and fn maps a
-complex ndarray of shape S to shape S + (k,), the operator's eigenvalues
-in a fixed basis that diagonalizes it at every s (for a rotation-invariant
-boundary mesh, the discrete Fourier modes).  Each lane is an independent
-scalar kernel, so the same vectorized path computes weights of shape
-(N+1, m, m, k), and apply_cq takes stage samples and returns traces in the
-lane basis; a scalar kernel is the one-lane case.  A dense kernel
-(dim n > 1) maps one s to an (n, n) matrix and has (N+1, m n, m n)
-weights.  All three, on either contour (the upper half circle with hfft
-for conjugate-symmetric kernels, the full circle with fft otherwise), go
-through one routine with the same checks: cond(Delta), the eigenvector
-condition number, the sigma0 warning and the identity-kernel sanity check.
+Kernel shapes.  Every kernel is a set of scalar lanes with an operator
+shape op: (1,) for a scalar kernel, (k,) for a diagonal kernel with
+lanes = k (its eigenvalues in a fixed basis that diagonalizes it at every
+s, such as the discrete Fourier modes of a rotation-invariant mesh), and
+(n, n) for a dense kernel of dim n > 1; fn maps an ndarray of shape S to
+S + op (to S for a scalar kernel).  Entry by entry, the weights of an
+operator-valued kernel are the scalar weights of that entry, so one
+routine serves all three on either contour (the upper half circle with
+hfft for conjugate-symmetric kernels, the full circle with fft
+otherwise).  The weights are (N+1, m, m), (N+1, m, m, k) (apply_cq then
+works in the lane basis) or (N+1, m n, m n), with W[j, a n + c, b n + d]
+stage block (a, b) of entry (c, d).
 """
 
-import functools
 import json
 import os
 import warnings
@@ -59,14 +56,13 @@ class TransferFunction:
     """Transfer function K(s), analytic and polynomially bounded for
     Re s >= sigma0.
 
-    For dim == 1, fn maps a complex ndarray to an ndarray elementwise; with
-    lanes = k set, it maps shape S to S + (k,), one scalar kernel per lane
-    of a diagonal operator (see the module docstring). For dim == n > 1, fn
-    maps a single complex s to an (n, n) matrix. Kernels with
-    K(conj s) = conj(K(s)) (every kernel with a real time-domain response)
-    should keep conj_symmetric True: only the upper half of the FFT circle is
-    evaluated and the weights come out real. Other kernels are evaluated on
-    the full circle and get complex weights.
+    fn maps a complex ndarray of shape S elementwise to shape S (dim == 1),
+    to S + (k,) with lanes = k set, one scalar kernel per lane of a diagonal
+    operator, or to S + (n, n) for dim == n > 1 (see the module docstring).
+    Kernels with K(conj s) = conj(K(s)) (every kernel with a real
+    time-domain response) should keep conj_symmetric True: only the upper
+    half of the FFT circle is evaluated and the weights come out real.
+    Other kernels are evaluated on the full circle and get complex weights.
     """
 
     fn: callable
@@ -103,7 +99,7 @@ def delta_matrix(tab, zeta):
     """Delta(zeta) = (zeta/(1-zeta) 1 b^T + A)^{-1} for |zeta| < 1."""
     m = tab.m
     M = zeta / (1.0 - zeta) * np.outer(np.ones(m), tab.b) + tab.A
-    if np.linalg.cond(M) > 1e14:
+    if not np.linalg.cond(M) <= 1e14:
         raise np.linalg.LinAlgError("Delta(zeta) is numerically singular at zeta=%r" % zeta)
     return np.linalg.inv(M)
 
@@ -115,12 +111,6 @@ def _fft_grid(N, eps):
     return L, eps ** (1.0 / (2 * L))
 
 
-def _node_stacks(fn, rows):
-    # the (m, n, n) kernel stack of each contour node; also the worker of
-    # the process pool for dense kernels
-    return [np.stack([np.asarray(fn(si), dtype=complex) for si in row]) for row in rows]
-
-
 def _pool_map(fn, rows, threads):
     # evaluate fn on chunks of the contour nodes in worker processes; the
     # results come back in node order
@@ -130,26 +120,24 @@ def _pool_map(fn, rows, threads):
         return [f.result() for f in futs]
 
 
-def _contour_dft(F, L, lam, N, chunk=1 << 22):
-    """Scaled DFT lambda^{-j}/L sum_l F_l e^{-2 pi i l j/L}, j = 0..N.
+def _contour_dft(F, L, lam, N):
+    """Scaled DFT lambda^{-j}/L sum_l F_l e^{-2 pi i l j/L}, j = 0..N, along
+    the first axis of F.
 
-    F holds one row per contour node: all L nodes (complex output), or the
+    F holds one slice per contour node: all L nodes (complex output), or the
     L/2+1 upper ones of a Hermitian-symmetric spectrum (real output).
-    Column-chunked to bound peak memory.
     """
-    nodes, nc = F.shape
-    half = nodes < L
-    W = np.empty((N + 1, nc), dtype=float if half else complex)
-    step = max(1, chunk // max(L, 1))
-    for c0 in range(0, nc, step):
-        # hfft(a) is the forward transform sum_l a_l e^{-2pi i l j / L} of the
-        # Hermitian extension of a; conjugating the input would flip the sign
-        # of the exponent and return coefficient L-j in place of j
-        blk = F[:, c0 : c0 + step]
-        W[:, c0 : c0 + step] = (np.fft.hfft(blk, n=L, axis=0) if half
-                                else np.fft.fft(blk, axis=0))[: N + 1]
-    W *= (lam ** -np.arange(N + 1))[:, None] / L
-    return W
+    # hfft(a) is the forward transform sum_l a_l e^{-2pi i l j / L} of the
+    # Hermitian extension of a; conjugating the input would flip the sign
+    # of the exponent and return coefficient L-j in place of j
+    W = (np.fft.hfft(F, n=L, axis=0) if F.shape[0] < L else np.fft.fft(F, axis=0))[: N + 1]
+    scale = lam ** -np.arange(N + 1) / L
+    return W * scale.reshape((N + 1,) + (1,) * (F.ndim - 1))
+
+
+# complex elements of one lane block: the einsum and DFT temporaries of a
+# block stay small next to the kernel values and the weights
+_BLOCK = 1 << 18
 
 
 def weights_shape(K, tab, N):
@@ -167,7 +155,8 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
     when the kernel is conjugate-symmetric (only the upper half of the FFT
     circle is evaluated) and complex otherwise (the full circle).  With
     threads > 1, matrix and diagonal kernels are evaluated on the contour
-    nodes in that many worker processes (fn must be picklable).
+    nodes in that many worker processes (fn must be picklable).  Raises
+    FloatingPointError when a weight comes out non-finite.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -180,51 +169,55 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
 
     zetas = lam * np.exp(2j * np.pi * np.arange(nodes) / L)
     Ms = zetas[:, None, None] / (1.0 - zetas[:, None, None]) * np.outer(np.ones(m), tab.b)[None] + tab.A[None]
-    if np.linalg.cond(Ms).max() > 1e14:
+    if not np.linalg.cond(Ms).max() <= 1e14:
         raise np.linalg.LinAlgError("Delta(zeta) singular on the FFT circle")
     Ds = np.linalg.inv(Ms)
     w, E = np.linalg.eig(Ds)
-    if np.linalg.cond(E).max() > 1e10:
+    if not np.linalg.cond(E).max() <= 1e10:
         raise np.linalg.LinAlgError(
             "eigenvector condition number exceeds 1e10 on the FFT circle; change eps"
         )
     Einv = np.linalg.inv(E)
+    _identity_sanity(m, E, Einv, L, lam, N)
     s = w / h
     if s.real.min() < K.sigma0:
         warnings.warn(
             "FFT circle reaches Re s = %.3g below sigma0 = %.3g" % (s.real.min(), K.sigma0)
         )
 
-    if n == 1:
-        # scalar and diagonal kernels: every lane is a scalar kernel, and
-        # K(Z/h) = E diag(K(w/h)) E^{-1} lane by lane
-        lanes = 1 if K.lanes is None else K.lanes
-        if threads > 1 and K.lanes is not None:
-            Kv = np.concatenate(_pool_map(K.fn, s, threads))
-        else:
-            Kv = np.asarray(K.fn(s), dtype=complex)
-        F = np.einsum("lai,lik,lib->labk", E, Kv.reshape(nodes, m, lanes), Einv)
+    if K.lanes is not None:
+        op = (K.lanes,)
     else:
-        # dense kernels: K(Z/h) = sum_i E[:, i] Einv[i, :] (x) K(w_i/h), one
-        # node at a time, so the serial path never holds more than one stack
-        if threads > 1:
-            parts = _pool_map(functools.partial(_node_stacks, K.fn), s, threads)
-        else:
-            parts = (_node_stacks(K.fn, s[l : l + 1]) for l in range(nodes))
-        F = np.empty((nodes, m * n, m * n), dtype=complex)
-        for l, Kst in enumerate(st for part in parts for st in part):
-            F[l] = np.einsum("ai,ib,icd->acbd", E[l], Einv[l], Kst).reshape(m * n, m * n)
+        op = (1,) if n == 1 else (n, n)
+    if threads > 1 and op != (1,):
+        Kv = np.concatenate(_pool_map(K.fn, s, threads))
+    else:
+        # scalar kernels stay inline: their fns are often unpicklable lambdas
+        Kv = K.fn(s)
+    Kv = np.asarray(Kv, dtype=complex).reshape((nodes, m) + op)
 
-    W = _contour_dft(F.reshape(nodes, -1), L, lam, N).reshape(weights_shape(K, tab, N))
-    _identity_sanity(m, E, Einv, L, lam, N)
+    W = np.empty(weights_shape(K, tab, N), dtype=float if nodes < L else complex)
+    if n > 1:
+        # W[j, a n + c, b n + d] is stage block (a, b) of operator entry (c, d)
+        Wv = W.reshape(N + 1, m, n, m, n).transpose(0, 1, 3, 2, 4)
+    else:
+        Wv = W.reshape((N + 1, m, m) + op)
+    # K(Z/h) = E diag(K(w/h)) E^{-1} lane by lane, a block of the first
+    # operator axis at a time
+    step = max(1, _BLOCK // (nodes * m * m * int(np.prod(op[1:]))))
+    for c in range(0, op[0], step):
+        F = np.einsum("lai,li...,lib->lab...", E, Kv[:, :, c : c + step], Einv)
+        blk = _contour_dft(F, L, lam, N)
+        if not np.isfinite(blk).all():
+            raise FloatingPointError("non-finite CQ weights: check the kernel values and eps")
+        Wv[:, :, :, c : c + step] = blk
     return CQWeightSet(h, N, tab, n, W, tab.r_infinity, eps, K.key)
 
 
 def _identity_sanity(m, E, Einv, L, lam, N):
     # the same DFT applied to K(s) = 1 must reproduce identity weights
-    W1 = _contour_dft(np.einsum("lai,lib->lab", E, Einv).reshape(E.shape[0], -1), L, lam, N)
-    W1 = W1.reshape(N + 1, m, m)
-    if np.abs(W1[0] - np.eye(m)).max() > 1e-9 or np.abs(W1[1:]).sum() > 1e-9:
+    W1 = _contour_dft(np.einsum("lai,lib->lab", E, Einv), L, lam, N)
+    if not (np.abs(W1[0] - np.eye(m)).max() <= 1e-9 and np.abs(W1[1:]).sum() <= 1e-9):
         raise RuntimeError("identity-kernel sanity check failed; FFT weight path is broken")
 
 

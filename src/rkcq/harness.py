@@ -233,10 +233,17 @@ def _bem_stage_samples(datum_fn, mesh, tab, h, N):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_mesh(geometry, n_panels):
+    # one mesh per (geometry, n_panels), so a reference and its cells share
+    # the pair plan, the Gauss-Legendre points and V(1)
+    return make_mesh(geometry, n_panels)
+
+
 def _bem_setup(cfg):
     """Mesh and transfer function of a cell: the per-mode (diagonal) kernel
     on a circulant mesh, the dense matrix kernel otherwise."""
-    mesh = make_mesh(cfg.geometry, cfg.n_panels)
+    mesh = _shared_mesh(cfg.geometry, cfg.n_panels)
     problem = ScatteringProblem(
         geometry=cfg.geometry,
         operator=cfg.operator,

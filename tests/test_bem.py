@@ -323,15 +323,6 @@ def test_make_transfer_metadata():
     assert tf.key == "bem_unit_circle_exterior_dtn_16"
 
 
-def test_hminus_half_norm():
-    mesh = bem.make_mesh("unit_circle", 64)
-    phi = np.sin(0.2 * np.arange(mesh.n))
-    val = bem.hminus_half_norm(phi, mesh)
-    V, _ = bem.assemble_pair(1.0, mesh)
-    assert val == pytest.approx(np.sqrt(np.real(phi @ V @ phi)), rel=1e-12)
-    assert bem.hminus_half_norm(np.zeros(mesh.n), mesh) == 0.0
-
-
 def test_error_metric_values_and_validation():
     mesh = bem.make_mesh("unit_circle", 16)
     traces = np.ones((2, 16))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rkcq import engine
 from rkcq.engine import (
     CQWeightSet,
     TransferFunction,
@@ -24,7 +25,10 @@ def identity_kernel():
 
 def _triangular_matrix_kernel(s):
     # module level so the process-pool path can pickle it
-    return np.array([[1.0 / s, 0.5], [0.0, s]])
+    s = np.asarray(s, dtype=complex)
+    K = np.zeros(s.shape + (2, 2), dtype=complex)
+    K[..., 0, 0], K[..., 0, 1], K[..., 1, 1] = 1.0 / s, 0.5, s
+    return K
 
 
 def test_delta_matrix_inverse_relation():
@@ -145,7 +149,10 @@ def test_matrix_valued_kernel_blocks():
     h, N = 0.1, 8
 
     def fn(s):
-        return np.diag([1.0 / s, s])
+        s = np.asarray(s, dtype=complex)
+        K = np.zeros(s.shape + (2, 2), dtype=complex)
+        K[..., 0, 0], K[..., 1, 1] = 1.0 / s, s
+        return K
 
     K = TransferFunction(fn=fn, dim=2)
     W = compute_weights(K, tab, h, N).W
@@ -164,6 +171,42 @@ def test_matrix_kernel_threaded_evaluation_matches_serial():
     W1 = compute_weights(K, tab, h, N, threads=1).W
     W2 = compute_weights(K, tab, h, N, threads=2).W
     assert np.array_equal(W1, W2)
+
+
+def test_scalar_kernel_threads_do_not_change_weights():
+    # scalar kernels are evaluated inline, so an unpicklable lambda works
+    # with threads > 1 and gives the same weights
+    tab = radau_iia_tableau(3)
+    K = TransferFunction(fn=lambda s: np.sqrt(s) * np.exp(-s))
+    W1 = compute_weights(K, tab, 0.1, 10, threads=1).W
+    W2 = compute_weights(K, tab, 0.1, 10, threads=2).W
+    assert np.array_equal(W1, W2)
+
+
+def test_lane_blocks_do_not_change_weights(monkeypatch):
+    # one operator row per block gives the same weights bit for bit
+    tab = gauss_tableau(3)
+    h, N = 0.1, 10
+    dense = TransferFunction(fn=_triangular_matrix_kernel, dim=2)
+    lanes = TransferFunction(fn=lambda s: np.stack([1.0 / s, s, s * s], axis=-1), lanes=3)
+    before = [compute_weights(K, tab, h, N).W for K in (dense, lanes)]
+    monkeypatch.setattr(engine, "_BLOCK", 1)
+    after = [compute_weights(K, tab, h, N).W for K in (dense, lanes)]
+    for W0, W1 in zip(before, after):
+        assert np.array_equal(W0, W1)
+
+
+def test_rejects_nan_kernel_values():
+    K = TransferFunction(fn=lambda s: np.where(np.abs(s) > 20.0, np.nan, 1.0 / s))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        compute_weights(K, gauss_tableau(2), 0.1, 8)
+
+
+def test_rejects_zero_eps():
+    # eps = 0 puts the contour at the origin, where lambda^{-j} overflows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="identity-kernel"):
+            compute_weights(kmu_transfer(0.5), gauss_tableau(2), 0.1, 8, eps=0.0)
 
 
 def test_delay_kernel_against_shift_sum():

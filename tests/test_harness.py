@@ -230,6 +230,23 @@ def test_circle_cells_use_the_mode_kernel():
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_reference_and_cells_share_one_pair_plan(monkeypatch):
+    # a reference and two cells on one (geometry, n_panels) build one mesh,
+    # so its pair plan is made once
+    built = []
+    maps = bem._congruence_maps
+    monkeypatch.setattr(bem, "_congruence_maps", lambda mesh: built.append(mesh) or maps(mesh))
+    harness._shared_mesh.cache_clear()
+    cfgs = [ExperimentConfig("bem_convergence", fam, 2, geometry="l_shape",
+                             operator="exterior_dtn", datum="traveling_gaussian", T=1.0,
+                             N_list=(2, 4), N_ref=4, n_panels=12, eps=1e-16)
+            for fam in ("gauss", "radau_iia")]
+    reference = harness.bem_reference_solution(cfgs[0])
+    for cfg in cfgs:
+        harness.run_bem_convergence(cfg, reference=reference)
+    assert len(built) == 1
+
+
 def test_run_config_writes_csv_and_index(tmp_path):
     cfg = ExperimentConfig("scalar_convergence", "gauss", 2, 0.0,
                            N_list=(8, 16), N_ref=64, label="smoke")
