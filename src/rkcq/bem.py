@@ -476,7 +476,11 @@ _DEAD_EXPONENT = 60.0
 
 def _masked_kernels(s, R, with_kd):
     # evaluate K0 (and K1 with_kd) on the live lanes only; dead lanes stay
-    # zero, and k1v is None without with_kd
+    # zero, and k1v is None without with_kd.  A block without dead lanes
+    # (most of them) skips the zero fill, the gather and the scatter; the
+    # values are the same, since every regime of k0k1 works elementwise
+    if s.real * R.max() <= _DEAD_EXPONENT:
+        return k0k1(s * R) if with_kd else (bessel_k0(s * R), None)
     live = s.real * R <= _DEAD_EXPONENT
     k0v = np.zeros(R.shape, dtype=complex)
     k1v = np.zeros(R.shape, dtype=complex) if with_kd else None

@@ -52,13 +52,11 @@ __all__ = [
 ]
 
 
+_FAMILIES = {"gauss": gauss_tableau, "radau_iia": radau_iia_tableau, "radau": radau_iia_tableau}
+
+
 def _tableau(family, m):
-    fam = snake_name(family)
-    if fam == "gauss":
-        return gauss_tableau(m)
-    if fam in ("radau_iia", "radau"):
-        return radau_iia_tableau(m)
-    raise ValueError("unknown tableau family %r" % family)
+    return _FAMILIES[snake_name(family)](m)
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,32 @@ class ExperimentConfig:
     threads: int = 1
     weights_cache: str = None
     label: str = None
+
+    def __post_init__(self):
+        # every construction path (direct, from_dict, replace) checks the
+        # fields before any reference solve; the comparisons are written so
+        # that NaN fails them
+        def bad(name, why):
+            raise ValueError("config field %s=%r: %s" % (name, getattr(self, name), why))
+
+        if snake_name(self.family) not in _FAMILIES:
+            bad("family", "unknown tableau family, choose from %s" % ", ".join(_FAMILIES))
+        if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= 12):
+            bad("m", "the stage count must be an integer in [1, 12]")
+        if not (0.0 < self.eps < 1.0):
+            bad("eps", "the contour parameter must lie in (0, 1)")
+        if not np.isfinite(self.mu):
+            bad("mu", "must be finite")
+        if not (0.0 < self.T < np.inf):
+            bad("T", "the final time must be positive and finite")
+        if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
+            bad("threads", "need at least one worker")
+        if self.experiment in ("scalar_convergence", "bem_convergence"):
+            if not self.N_list:
+                bad("N_list", "a convergence run needs at least one grid")
+            for N in self.N_list:
+                if not (1 <= N <= self.N_ref and self.N_ref % N == 0):
+                    bad("N_list", "N_t=%r does not divide N_ref=%r" % (N, self.N_ref))
 
     @staticmethod
     def from_dict(d):
@@ -122,14 +146,6 @@ def _attach_eocs(N_list, errors):
         else:
             rows.append((N, e, np.log(errors[k - 1] / e) / np.log(N / N_list[k - 1])))
     return rows
-
-
-def _check_grids(cfg):
-    for N in cfg.N_list:
-        if N < 1 or N > cfg.N_ref:
-            raise ValueError("N_t=%d outside [1, N_ref=%d]" % (N, cfg.N_ref))
-        if cfg.N_ref % N:
-            raise ValueError("N_t=%d does not divide N_ref=%d" % (N, cfg.N_ref))
 
 
 def _weights_identity(key, tab, eps, N, h, shape):
@@ -206,7 +222,6 @@ def run_scalar_convergence(cfg):
     """
     if snake_name(cfg.datum) != "sin_pow_exp":
         raise ValueError("scalar convergence runs use the sin_pow_exp datum")
-    _check_grids(cfg)
     tab = _tableau(cfg.family, cfg.m)
     K = kmu_transfer(cfg.mu)
     t0 = time.perf_counter()
@@ -301,7 +316,6 @@ def run_bem_convergence(cfg, reference=None):
     method under study share one reference); all coarse grids must divide
     the reference grid so traces compare at shared time nodes.
     """
-    _check_grids(cfg)
     tab = _tableau(cfg.family, cfg.m)
     mesh, K = _bem_setup(cfg)
     datum_fn = DATA[snake_name(cfg.datum)]
@@ -514,10 +528,9 @@ def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cach
             over["threads"] = threads
         if weights_cache is not None:
             over["weights_cache"] = weights_cache
-        cfg = replace(cfg, **over)
-        # reject bad grids in every cell before any reference solve starts
-        _check_grids(cfg)
-        cfgs.append(cfg)
+        # replace() validates, so a bad override fails in every cell before
+        # any reference solve starts
+        cfgs.append(replace(cfg, **over))
     os.makedirs(out_dir, exist_ok=True)
     cells = []
     refs = {}

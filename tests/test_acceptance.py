@@ -213,6 +213,7 @@ def test_criterion_6_engine_oracles():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_7_dtn_map_convergence(table4_run, table5_run):
     # exterior Dirichlet-to-Neumann runs on the circle and the L-shape with
     # the traveling Gaussian datum: 3-stage Gauss converges at the

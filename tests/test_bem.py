@@ -98,7 +98,7 @@ def test_symbol_transfer_matches_dense_solve():
 
 
 def test_bessel_k0_equals_k0k1_bit_for_bit():
-    # series (|z| + Re z <= 8.5), scipy mid annulus, asymptotic (|z| >= 16.5)
+    # series (|z| + Re z <= 8.5), Taylor-table mid annulus, asymptotic (|z| >= 16.5)
     # and the Re z > 700 flush
     rng = np.random.default_rng(3)
     z = rng.uniform(0.01, 60.0, 4000) * np.exp(1j * rng.uniform(-1.57, 1.57, 4000))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from rkcq import bessel
+from rkcq import bem, bessel
 from rkcq.bessel import bessel_k0, bessel_k1, k0k1
 
 mpmath.mp.dps = 30
@@ -13,6 +13,19 @@ mpmath.mp.dps = 30
 
 def _mp_k0k1(z):
     return complex(mpmath.besselk(0, z)), complex(mpmath.besselk(1, z))
+
+
+def _in_table_regime(z):
+    az = np.abs(z)
+    return (z.real > 0) & (az + z.real > 8.5) & (az < 16.5)
+
+
+def _assert_matches_mpmath(z, bound):
+    k0, k1 = k0k1(z)
+    for zi, a0, a1 in zip(z, k0, k1):
+        w0, w1 = _mp_k0k1(zi)
+        assert abs(a0 - w0) / abs(w0) < bound, zi
+        assert abs(a1 - w1) / abs(w1) < bound, zi
 
 
 def _sample_points():
@@ -135,8 +148,8 @@ def test_series_depths_cover_each_band():
 
 
 def test_regime_switches_near_the_imaginary_axis():
-    # both sides of the series / scipy switch (|z| + Re z = 8.5) and of the
-    # scipy / asymptotic switch (|z| = 16.5) where cancellation is worst
+    # both sides of the series / table switch (|z| + Re z = 8.5) and of the
+    # table / asymptotic switch (|z| = 16.5) where cancellation is worst
     pts = []
     for a in (1.55, -1.55):
         r8 = 8.5 / (1.0 + np.cos(a))
@@ -146,8 +159,76 @@ def test_regime_switches_near_the_imaginary_axis():
     az = np.abs(z)
     assert np.count_nonzero(az + z.real <= 8.5) == 2
     assert np.count_nonzero(az >= 16.5) == 2
-    k0, k1 = k0k1(z)
-    for zi, a0, a1 in zip(z, k0, k1):
-        w0, w1 = _mp_k0k1(zi)
-        assert abs(a0 - w0) / abs(w0) < 5e-12, zi
-        assert abs(a1 - w1) / abs(w1) < 5e-12, zi
+    _assert_matches_mpmath(z, 5e-12)
+
+
+def test_table_against_high_precision_at_centres_edges_and_corners():
+    # every fifth cell in each direction; the corners are the points
+    # farthest from the centre the expansion is taken about
+    h = bessel._CELL
+    offsets = np.array([0.0, 0.5, -0.5, 0.5j, -0.5j, 0.5 + 0.5j, 0.5 - 0.5j,
+                        -0.5 + 0.5j, -0.5 - 0.5j]) * h
+    i = np.arange(1, bessel._CELLS, 5)
+    centres = ((i[:, None] + 0.5) * h + 1j * h * i[None, :]).ravel()
+    z = (centres[:, None] + offsets[None, :]).ravel()
+    z = z[_in_table_regime(z)]
+    z = np.concatenate([z, np.conj(z[::7])])
+    assert z.size > 250
+    _assert_matches_mpmath(z, 5e-15)
+
+
+def test_table_is_exactly_conjugate_symmetric():
+    rng = np.random.default_rng(8)
+    z = rng.uniform(0.0, 16.5, 6000) + 1j * rng.uniform(0.0, 16.5, 6000)
+    z = np.concatenate([z[_in_table_regime(z)], [5.0, 12.0 + 0.0j, 16.4, 9.0 + 3.0j]])
+    k0p, k1p = k0k1(z)
+    k0m, k1m = k0k1(np.conj(z))
+    assert np.array_equal(k0m, np.conj(k0p)) and np.array_equal(k1m, np.conj(k1p))
+    # real arguments sit on the centre line of a cell row: real values
+    real = z.imag == 0
+    assert real.sum() == 3 and not k0p[real].imag.any() and not k1p[real].imag.any()
+
+
+def test_table_at_both_sides_of_its_switches():
+    # the table side of |z| + Re z = 8.5 and both sides of |z| = 16.5, at
+    # angles across the right half-plane and below the real axis; the series
+    # side of 8.5 cancels to about 5e-13 and is checked in
+    # test_regime_switches_near_the_imaginary_axis
+    a = np.linspace(-1.5707, 1.5707, 23)
+    outer = 8.5 / (1.0 + np.cos(a)) * 1.0001
+    z = np.concatenate([outer * np.exp(1j * a), 16.4999 * np.exp(1j * a),
+                        16.5001 * np.exp(1j * a)])
+    assert np.count_nonzero(_in_table_regime(z)) == 46
+    _assert_matches_mpmath(z, 5e-15)
+
+
+def test_bessel_k0_equals_k0k1_in_the_table_regime():
+    # more than one evaluation block, arguments on both sides of the real axis
+    rng = np.random.default_rng(12)
+    z = rng.uniform(0.0, 16.5, 12000) + 1j * rng.uniform(-16.5, 16.5, 12000)
+    z = z[_in_table_regime(z)]
+    assert z.size > 2 * bessel._TABLE_BLOCK
+    assert np.array_equal(bessel_k0(z), k0k1(z)[0])
+
+
+def test_masked_kernels_all_live_block_equals_partly_dead_block():
+    # one far-field block of pair points (pairs, order, order); the all-live
+    # block takes the direct call, the partly dead one the masked path, and
+    # the live lanes must agree bit for bit
+    rng = np.random.default_rng(4)
+    s = 3.0 - 9.0j
+    live_R = rng.uniform(0.5, 19.0, (7, 6, 6))  # s.real * R <= 57
+    dead_R = rng.uniform(19.0, 30.0, (3, 6, 6))
+    mixed_R = np.concatenate([live_R, dead_R])
+    mixed_R[0, 0, 0] = 25.0
+    live = s.real * mixed_R <= bem._DEAD_EXPONENT
+    assert live[:7].sum() == 7 * 36 - 1 and not live.all() and live.any()
+    for with_kd in (False, True):
+        a0, a1 = bem._masked_kernels(s, live_R, with_kd)
+        b0, b1 = bem._masked_kernels(s, mixed_R, with_kd)
+        assert np.array_equal(a0[live[:7]], b0[:7][live[:7]])
+        assert not b0[~live].any()
+        assert (a1 is None) == (b1 is None) == (not with_kd)
+        if with_kd:
+            assert np.array_equal(a1[live[:7]], b1[:7][live[:7]])
+            assert not b1[~live].any()

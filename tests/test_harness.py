@@ -2,6 +2,8 @@
 
 import json
 import os
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,9 +98,8 @@ def test_scalar_convergence_runs_and_converges():
 
 
 def test_scalar_convergence_validates_grids_and_datum():
-    bad = ExperimentConfig("scalar_convergence", N_list=(3,), N_ref=8)
     with pytest.raises(ValueError, match="divide"):
-        run_scalar_convergence(bad)
+        run_scalar_convergence(ExperimentConfig("scalar_convergence", N_list=(3,), N_ref=8))
     bad2 = ExperimentConfig("scalar_convergence", N_list=(4,), N_ref=8,
                             datum="traveling_gaussian")
     with pytest.raises(ValueError, match="sin_pow_exp"):
@@ -124,11 +125,52 @@ def test_run_config_checks_tableau_before_reference(tmp_path, monkeypatch, famil
         raise AssertionError("reference solved before the tableau was built")
 
     monkeypatch.setattr(harness, "bem_reference_solution", no_reference)
-    cfg = ExperimentConfig("bem_convergence", family, m, geometry="l_shape",
-                           operator="exterior_dtn", datum="traveling_gaussian",
-                           N_list=(3, 7), N_ref=21, n_panels=16, eps=1e-16)
     with pytest.raises(ValueError, match="family|stage count"):
+        cfg = ExperimentConfig("bem_convergence", family, m, geometry="l_shape",
+                               operator="exterior_dtn", datum="traveling_gaussian",
+                               N_list=(3, 7), N_ref=21, n_panels=16, eps=1e-16)
         run_config(cfg, str(tmp_path / "out"))
+
+
+_GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("family", "lobatto"),
+    ("m", 0),
+    ("m", 13),
+    ("m", 2.5),
+    ("eps", 0.0),
+    ("eps", 1.5),
+    ("eps", float("nan")),
+    ("mu", float("nan")),
+    ("mu", float("inf")),
+    ("T", -3.0),
+    ("T", 0.0),
+    ("T", float("nan")),
+    ("threads", 0),
+    ("N_list", ()),
+    ("N_list", (3,)),
+    ("N_list", (0,)),
+    ("N_list", (32,)),
+])
+def test_config_rejects_bad_fields(field, value):
+    # each bad field fails at construction, from_dict and replace alike,
+    # in well under 0.1 s and with the field named in the message
+    good = ExperimentConfig(**_GOOD)
+    for make in (lambda: ExperimentConfig(**dict(_GOOD, **{field: value})),
+                 lambda: ExperimentConfig.from_dict(dict(_GOOD, **{field: value})),
+                 lambda: replace(good, **{field: value})):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="field %s=" % field):
+            make()
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_config_checks_grids_only_for_convergence_runs():
+    cfg = ExperimentConfig("stability_report", m_range=(2, 3))
+    assert cfg.N_list == ()
+    assert ExperimentConfig("scalar_convergence", family="Gauss", N_list=(7,), N_ref=21).m == 3
 
 
 def test_weights_cache_reuse(tmp_path):
