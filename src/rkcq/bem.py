@@ -10,15 +10,19 @@ matrix Kd(s), and wraps the two frequency-domain solution operators
 as matrix-valued transfer functions for the convolution-quadrature engine
 (M is the panel-length mass matrix; inputs are panel-midpoint samples).
 
-Quadrature: tensorized Gauss-Legendre of oscillation-adaptive order for
-well-separated panel pairs, a geometrically graded product rule toward the
-shared vertex for panels that touch, and a closed-form treatment of the log
-singularity on the diagonal.  Congruent panel pairs have equal entries, so
-a per-mesh pair plan groups the pairs into congruence classes and every
-frequency evaluates one representative per class; the unit circle has
-n//2 + 1 classes and exactly symmetric circulant matrices.  The discrete
-Fourier modes diagonalize every operator there, and BemTransfer.symbol
-returns the transfer operator's eigenvalues on the real-FFT lanes.
+Quadrature: a closed-form treatment of the log singularity on the
+diagonal, and one tensor-product block routine (_pair_block) for every
+other pair: Gauss-Legendre on each panel for well-separated pairs, and the
+tensor square of a rule graded geometrically toward the shared vertex for
+panels that touch.  One order rule (_gl_orders) sets both from the
+oscillation of e^{-s r} along a panel or a graded cell.  Pairs whose kernel
+is below e^-60 everywhere are skipped.  Congruent panel pairs have equal
+entries, so a per-mesh pair plan groups the pairs into congruence classes
+and every frequency evaluates one representative per class; the unit
+circle has n//2 + 1 classes and exactly symmetric circulant matrices.  The
+discrete Fourier modes diagonalize every operator there, and
+BemTransfer.symbol returns the transfer operator's eigenvalues on the
+real-FFT lanes.
 """
 
 import json
@@ -62,47 +66,41 @@ def _rule01(n):
 _X16, _W16 = _rule01(16)
 
 
-def _far_order(s, lmax):
-    """Tensor-rule order resolving the e^{-s r} phase across one panel.
+def _gl_orders(s, length):
+    """Gauss-Legendre orders resolving the e^{-s r} phase along lengths.
 
-    The phase varies by up to |s| lmax along a panel, i.e. w = |s| lmax / 2
-    in the Gauss variable, and an n-point rule drives the e^{iwt} error
-    into its super-exponential regime once n >= 0.625 w + 8; at n = w/2
-    the decay has not yet engaged and errors plateau near 1e-8.  Entry
-    errors must stay tiny relative to the smallest singular value of V
-    (itself ~ 1/|s|), since V^{-1} and the lambda^{-n} unscaling of the
-    weight transform both amplify them.
+    The phase varies by up to |s| length along an interval, i.e.
+    w = |s| length / 2 in the Gauss variable, and an n-point rule drives
+    the e^{iwt} error into its super-exponential regime once
+    n >= 0.625 w + 8; at n = w/2 the decay has not yet engaged and errors
+    plateau near 1e-8.  Entry errors must stay tiny relative to the
+    smallest singular value of V (itself ~ 1/|s|), since V^{-1} and the
+    lambda^{-n} unscaling of the weight transform both amplify them.
     """
-    w = abs(s) * lmax / 2.0
-    return min(48, max(8, int(np.ceil(0.625 * w)) + 8))
+    w = np.abs(s) * np.asarray(length) / 2.0
+    return np.clip(np.ceil(0.625 * w).astype(int) + 8, 8, 48)
 
 
 _GRADE_Q = 0.15
 _GRADE_LEVELS = 6
-# per-axis cell widths of the graded rule, innermost first; the number of
-# levels sets the floor left by the unresolved log corner, area (q^levels)^2
-_GRADE_SPANS = tuple(
-    np.diff([0.0] + [_GRADE_Q ** k for k in range(_GRADE_LEVELS - 1, -1, -1)])
-)
+# cell edges of the graded rule, innermost first; the number of levels sets
+# the floor left by the unresolved log corner, area (q^levels)^2
+_GRADE_EDGES = [0.0] + [_GRADE_Q ** k for k in range(_GRADE_LEVELS - 1, -1, -1)]
+_GRADE_SPANS = np.diff(_GRADE_EDGES)
 
 
 @lru_cache(maxsize=None)
-def _graded_square(orders, q=_GRADE_Q):
-    """Tensor rule on [0,1]^2 graded geometrically toward the corner (0,0).
+def _graded_rule(orders):
+    """Gauss-Legendre rule on [0, 1] graded geometrically toward 0.
 
-    orders gives the GL order on each per-axis cell, innermost first; the
-    phase load of a cell scales with its width, so outer cells need the
-    high orders and the corner cells stay cheap.
+    orders gives the order on each cell, innermost first; the phase load
+    of a cell scales with its width, so outer cells need the high orders
+    and the cells at 0 stay cheap.
     """
-    b = [0.0] + [q ** k for k in range(len(orders) - 1, -1, -1)]
-    xs, ws = [], []
-    for (a1, b1), n in zip(zip(b[:-1], b[1:]), orders):
-        xg, wg = _rule01(n)
-        xs.append(a1 + (b1 - a1) * xg)
-        ws.append((b1 - a1) * wg)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    return np.repeat(x, x.size), np.tile(x, x.size), np.outer(w, w).ravel()
+    cells = list(zip(_GRADE_EDGES[:-1], _GRADE_EDGES[1:], orders))
+    x = np.concatenate([a + (b - a) * _rule01(n)[0] for a, b, n in cells])
+    w = np.concatenate([(b - a) * _rule01(n)[1] for a, b, n in cells])
+    return x, w
 
 
 @dataclass(eq=False)
@@ -439,33 +437,34 @@ class _PairPlan:
         rmin, rmax = _pair_r_bounds(mesh, self.far_i, self.far_j)
         lmax = np.maximum(mesh.length[self.far_i], mesh.length[self.far_j])
         self.rmin = rmin
+        # the kernel phase along one panel varies with r, whose total
+        # variation at fixed y is bounded both by the panel length and by
+        # twice the pair's radial spread, so pairs that face each other
+        # broadside resolve with far fewer points than end-on ones
         self.leff = np.minimum(lmax, 2.0 * (rmax - rmin))
 
 
-def _touching_values(s, geometry, with_kd):
-    """Graded-rule V_ij and (without with_kd None) the (Kd_ij, Kd_ji) rows of
-    touching pairs (i, j); x runs over panel i, y over panel j, and one
-    kernel evaluation serves both orientations."""
-    v, fi, fj, ni, nj, li, lj = geometry
-    lmax = max(li.max(), lj.max())
-    orders = tuple(_far_order(s, sp * lmax) for sp in _GRADE_SPANS)
-    xi, eta, wq = _graded_square(orders)
-    X = v[:, None, :] + xi[None, :, None] * (fi - v)[:, None, :]
-    Y = v[:, None, :] + eta[None, :, None] * (fj - v)[:, None, :]
-    dv = Y - X
-    R = np.linalg.norm(dv, axis=2)
-    scale = li * lj / (2.0 * np.pi)
+def _pair_block(s, Pi, Wi, Pj, Wj, ni, nj, with_kd):
+    """V and (with_kd) the (Kd_ij, Kd_ji) values of a block of panel pairs.
+
+    Each pair (i, j) is integrated by a tensor product rule: Pi and Wi are
+    the (p, g, 2) points and (p, g) weights of its factor on panel i, Pj
+    and Wj (p, h, 2) and (p, h) on panel j, and ni, nj the (p, 2) panel
+    normals.  R is symmetric, so one K0/K1 evaluation serves V and both Kd
+    orientations (they differ just in which panel's normal enters the dot
+    factor and in the sign of the difference vector).  Returns the (p,)
+    values of V and the (p, 2) values of Kd, None without with_kd.
+    """
+    dv = Pj[:, None, :, :] - Pi[:, :, None, :]
+    R = np.linalg.norm(dv, axis=3)
     if not with_kd:
-        k0v = bessel_k0(s * R.ravel()).reshape(R.shape)
-        return scale * np.einsum("p,ap->a", wq, k0v), None
-    k0v, k1v = k0k1(s * R.ravel())
-    k0v = k0v.reshape(R.shape)
-    k1v = k1v.reshape(R.shape)
-    dotu = np.einsum("apd,ad->ap", dv, nj) / R
-    dotl = -np.einsum("apd,ad->ap", dv, ni) / R
-    kij = -s * scale * np.einsum("p,ap->a", wq, k1v * dotu)
-    kji = -s * scale * np.einsum("p,ap->a", wq, k1v * dotl)
-    return scale * np.einsum("p,ap->a", wq, k0v), np.stack([kij, kji], axis=1)
+        return np.einsum("pg,ph,pgh->p", Wi, Wj, bessel_k0(s * R)) / (2.0 * np.pi), None
+    k0v, k1v = k0k1(s * R)
+    dotu = np.einsum("pghd,pd->pgh", dv, nj) / R
+    dotl = -np.einsum("pghd,pd->pgh", dv, ni) / R
+    kd = np.stack([np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu),
+                   np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)], axis=1)
+    return np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi), -s / (2.0 * np.pi) * kd
 
 
 # e^{-Re(s) r} bound on K0/K1 below which a pair contributes nothing: at 60
@@ -474,47 +473,28 @@ def _touching_values(s, geometry, with_kd):
 _DEAD_EXPONENT = 60.0
 
 
-def _masked_kernels(s, R, with_kd):
-    # evaluate K0 (and K1 with_kd) on the live lanes only; dead lanes stay
-    # zero, and k1v is None without with_kd.  A block without dead lanes
-    # (most of them) skips the zero fill, the gather and the scatter; the
-    # values are the same, since every regime of k0k1 works elementwise
-    if s.real * R.max() <= _DEAD_EXPONENT:
-        return k0k1(s * R) if with_kd else (bessel_k0(s * R), None)
-    live = s.real * R <= _DEAD_EXPONENT
-    k0v = np.zeros(R.shape, dtype=complex)
-    k1v = np.zeros(R.shape, dtype=complex) if with_kd else None
-    if np.any(live):
-        if with_kd:
-            k0v[live], k1v[live] = k0k1(s * R[live])
-        else:
-            k0v[live] = bessel_k0(s * R[live])
-    return k0v, k1v
+def _pair_blocks(s, mesh, plan):
+    """The off-diagonal classes as _pair_block arguments, one block at a
+    time: (classes, Pi, Wi, Pj, Wj, ni, nj).
 
-
-def _pair_orders(s, leff):
-    """Per-pair tensor order from the effective length leff.
-
-    The kernel phase along one panel varies with r, whose total variation
-    at fixed y is bounded both by the panel length and by twice the global
-    radial spread of the pair (leff is the smaller of the two), so pairs
-    that face each other broadside resolve with far fewer points than
-    end-on ones.  Orders are rounded up to even to keep the quadrature
-    cache small.
+    The touching classes come first, in one block.  Their rule is the
+    tensor square of the graded rule toward the shared vertex vx:
+    x = vx + t (fi - vx) on panel i and y = vx + t (fj - vx) on panel j,
+    with weights w li and w lj, every graded cell taking its order from its
+    width on the longest touching panel (not rounded: the graded rule is
+    not converged at its lowest orders, and 9 -> 10 moves touching Kd
+    entries by up to 1.2e-7 relative).  The far classes follow in chunks
+    of pairs that share a Gauss-Legendre order, rounded up to even to halve
+    the mesh's cache of panel points; pairs beyond the dead exponent are
+    left out and keep their zeros.
     """
-    w = np.abs(s) * leff / 2.0
-    orders = np.clip(np.ceil(0.625 * w).astype(int) + 8, 8, 48)
-    return (orders + 1) & ~1
-
-
-def _far_values(s, mesh, plan, v, kd):
-    """Smooth-kernel values of the far classes into v and kd (None: V alone).
-
-    R is symmetric, so one K0/K1 evaluation on the representative (i, j)
-    serves V and both Kd orientations (they differ just in which panel's
-    normal enters the dot factor and in the sign of the difference vector).
-    """
-    orders = _pair_orders(s, plan.leff)
+    vx, fi, fj, ni, nj, li, lj = plan.touch_geometry
+    lmax = max(li.max(), lj.max())
+    t, w = _graded_rule(tuple(_gl_orders(s, _GRADE_SPANS * lmax).tolist()))
+    yield (plan.touch,
+           vx[:, None, :] + t[None, :, None] * (fi - vx)[:, None, :], w * li[:, None],
+           vx[:, None, :] + t[None, :, None] * (fj - vx)[:, None, :], w * lj[:, None], ni, nj)
+    orders = (_gl_orders(s, plan.leff) + 1) & ~1
     live = s.real * plan.rmin <= _DEAD_EXPONENT
     cls, iu, ju, orders = plan.far[live], plan.far_i[live], plan.far_j[live], orders[live]
     for o in np.unique(orders):
@@ -524,37 +504,26 @@ def _far_values(s, mesh, plan, v, kd):
         chunk = max(32, 500_000 // int(o * o))
         for p0 in range(0, io.size, chunk):
             c, ic, jc = co[p0 : p0 + chunk], io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
-            dv = P[jc][:, None, :, :] - P[ic][:, :, None, :]
-            R = np.linalg.norm(dv, axis=3)
-            k0v, k1v = _masked_kernels(s, R, kd is not None)
-            Wi, Wj = W[ic], W[jc]
-            v[c] = np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi)
-            if kd is None:
-                continue
-            dotu = np.einsum("pghd,pd->pgh", dv, mesh.normal[jc]) / R
-            dotl = -np.einsum("pghd,pd->pgh", dv, mesh.normal[ic]) / R
-            kd[c, 0] = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu)
-            kd[c, 1] = -s / (2.0 * np.pi) * np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)
+            yield c, P[ic], W[ic], P[jc], W[jc], mesh.normal[ic], mesh.normal[jc]
 
 
-def _assemble(s, mesh, plan, with_kd=True, rows=slice(None)):
-    """Rows of dense V and Kd (Kd None without with_kd) from a pair plan;
-    all rows by default.
+def _assemble(s, mesh, plan, with_kd=True):
+    """Per-class values v of V and kd of Kd (None without with_kd).
 
-    Each class is evaluated on its representative only: the closed form on
-    the diagonal (where Kd vanishes), the graded rule on touching pairs and
-    the tensor Gauss-Legendre rule on far pairs; one gather per matrix then
-    writes every member.
+    Each class is evaluated on its representative (r, q) only: the closed
+    form on the diagonal (where Kd vanishes) and _pair_block on every other
+    pair.  V is v[plan.vmap] and Kd is kd.ravel()[plan.kmap], kd[c] holding
+    (Kd_rq, Kd_qr).
     """
     v = np.zeros(plan.size, dtype=complex)
     kd = np.zeros((plan.size, 2), dtype=complex) if with_kd else None
     for c, ell in zip(plan.diag, plan.diag_length):
         v[c] = 2.0 * _self_weighted_k0_integral(s, float(ell)) / (2.0 * np.pi)
-    v[plan.touch], kt = _touching_values(s, plan.touch_geometry, with_kd)
-    if with_kd:
-        kd[plan.touch] = kt
-    _far_values(s, mesh, plan, v, kd)
-    return v[plan.vmap[rows]], None if kd is None else kd.ravel()[plan.kmap[rows]]
+    for c, *block in _pair_blocks(s, mesh, plan):
+        v[c], kc = _pair_block(s, *block, with_kd)
+        if with_kd:
+            kd[c] = kc
+    return v, kd
 
 
 def _frequency(s):
@@ -564,16 +533,11 @@ def _frequency(s):
     return s
 
 
-def _circulant(row):
-    """The circulant matrices C_ij = row[..., (j - i) mod n] of the rows
-    along the last axis."""
-    n = row.shape[-1]
-    return row[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-
-
 def assemble_pair(s, mesh):
     """Assemble (V(s), Kd(s)) in one pass over the mesh's pair plan."""
-    return _assemble(_frequency(s), mesh, mesh.pair_plan())
+    plan = mesh.pair_plan()
+    v, kd = _assemble(_frequency(s), mesh, plan)
+    return v[plan.vmap], kd.ravel()[plan.kmap]
 
 
 def assemble_V(s, mesh):
@@ -582,7 +546,8 @@ def assemble_V(s, mesh):
     Only K0 is evaluated; the result equals assemble_pair(s, mesh)[0] bit
     for bit.
     """
-    return _assemble(_frequency(s), mesh, mesh.pair_plan(), with_kd=False)[0]
+    plan = mesh.pair_plan()
+    return _assemble(_frequency(s), mesh, plan, with_kd=False)[0][plan.vmap]
 
 
 def mass_matrix(mesh):
@@ -608,8 +573,7 @@ class BemTransfer:
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
     data to the outward normal derivative of the exterior solution.  Each
-    frequency takes one assembly and one dense solve; on a circulant mesh
-    the matrices are built from symbol(s), without a dense solve.
+    frequency takes one assembly and one dense solve, on every mesh.
     """
 
     def __init__(self, mesh, operator):
@@ -646,20 +610,17 @@ class BemTransfer:
         lanes = mesh.n // 2 + 1
         ell = mesh.length[0]
         isl = self.operator == "inverse_single_layer"
+        plan = mesh.pair_plan()
         sv = np.asarray(s, dtype=complex)
         out = np.empty(sv.shape + (lanes,), dtype=complex)
         for idx in np.ndindex(sv.shape):
-            V, Kd = _assemble(_frequency(sv[idx]), mesh, mesh.pair_plan(), with_kd=not isl, rows=0)
-            v = np.fft.fft(V)[:lanes]
-            out[idx] = ell / v if isl else (-0.5 * ell + np.fft.fft(Kd)[:lanes]) / v
+            vals, kds = _assemble(_frequency(sv[idx]), mesh, plan, with_kd=not isl)
+            num = ell if isl else -0.5 * ell + np.fft.fft(kds.ravel()[plan.kmap[0]])[:lanes]
+            out[idx] = num / np.fft.fft(vals[plan.vmap[0]])[:lanes]
         return out
 
     def __call__(self, s):
         n = self.mesh.n
-        if self.mesh.circulant:
-            lam = self.symbol(s)
-            full = np.concatenate([lam, lam[..., 1 : (n + 1) // 2][..., ::-1]], axis=-1)
-            return _circulant(np.fft.ifft(full, axis=-1))
         sv = np.asarray(s, dtype=complex)
         out = np.empty(sv.shape + (n, n), dtype=complex)
         M = mass_matrix(self.mesh)

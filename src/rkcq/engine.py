@@ -96,11 +96,16 @@ class CQWeightSet:
 
 
 def delta_matrix(tab, zeta):
-    """Delta(zeta) = (zeta/(1-zeta) 1 b^T + A)^{-1} for |zeta| < 1."""
-    m = tab.m
-    M = zeta / (1.0 - zeta) * np.outer(np.ones(m), tab.b) + tab.A
-    if not np.linalg.cond(M) <= 1e14:
-        raise np.linalg.LinAlgError("Delta(zeta) is numerically singular at zeta=%r" % zeta)
+    """Delta(zeta) = (zeta/(1-zeta) 1 b^T + A)^{-1} for |zeta| < 1.
+
+    zeta may be an array; the result has shape np.shape(zeta) + (m, m).
+    """
+    z = np.asarray(zeta)[..., None, None]
+    M = z / (1.0 - z) * np.outer(np.ones(tab.m), tab.b) + tab.A
+    if not np.linalg.cond(M).max() <= 1e14:
+        raise np.linalg.LinAlgError(
+            "Delta(zeta) is numerically singular, |zeta| up to %g" % np.abs(zeta).max()
+        )
     return np.linalg.inv(M)
 
 
@@ -156,10 +161,13 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
     circle is evaluated) and complex otherwise (the full circle).  With
     threads > 1, matrix and diagonal kernels are evaluated on the contour
     nodes in that many worker processes (fn must be picklable).  Raises
-    FloatingPointError when a weight comes out non-finite.
+    ValueError for eps outside (0, 1) and FloatingPointError when a weight
+    comes out non-finite.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1), got %r" % eps)
     if h * K.sigma0 > 1.0:
         warnings.warn("h*sigma0 = %.3g > 1; step too coarse for this kernel" % (h * K.sigma0))
     m = tab.m
@@ -167,12 +175,7 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
     L, lam = _fft_grid(N, eps)
     nodes = L // 2 + 1 if K.conj_symmetric else L
 
-    zetas = lam * np.exp(2j * np.pi * np.arange(nodes) / L)
-    Ms = zetas[:, None, None] / (1.0 - zetas[:, None, None]) * np.outer(np.ones(m), tab.b)[None] + tab.A[None]
-    if not np.linalg.cond(Ms).max() <= 1e14:
-        raise np.linalg.LinAlgError("Delta(zeta) singular on the FFT circle")
-    Ds = np.linalg.inv(Ms)
-    w, E = np.linalg.eig(Ds)
+    w, E = np.linalg.eig(delta_matrix(tab, lam * np.exp(2j * np.pi * np.arange(nodes) / L)))
     if not np.linalg.cond(E).max() <= 1e10:
         raise np.linalg.LinAlgError(
             "eigenvector condition number exceeds 1e10 on the FFT circle; change eps"

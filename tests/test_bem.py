@@ -79,17 +79,27 @@ def test_circulant_matches_dense_assembly():
 
 
 def test_symbol_transfer_matches_dense_solve():
-    # on the circle BemTransfer(s) is built from the Fourier symbol; the
-    # kind-stripped copy of the mesh takes the dense assembly and solve
+    # the per-mode symbol acts on panel data as the dense solve of the
+    # kind-stripped circle does: through the real FFT for real s, through
+    # the full FFT of its mirror extension (lane k serves modes k and n - k)
+    # for complex s
     mesh = bem.make_mesh("unit_circle", 32)
     plain = bem.BoundaryMesh(
         kind="custom", vertices=mesh.vertices.copy(), panels=mesh.panels.copy()
     )
+    n = mesh.n
+    g = np.random.default_rng(6).standard_normal(n)
     for op in ("inverse_single_layer", "exterior_dtn"):
         tf, dense = bem.BemTransfer(mesh, op), bem.BemTransfer(plain, op)
-        for s in (1.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j):
-            A, B = tf(s), dense(s)
-            assert np.abs(A - B).max() <= 1e-12 * np.abs(B).max(), (op, s)
+        for s in (1.0, 40.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j):
+            lam = tf.symbol(s)
+            if np.imag(s) == 0:
+                got = np.fft.irfft(lam * np.fft.rfft(g), n)
+            else:
+                full = np.concatenate([lam, lam[1 : (n + 1) // 2][::-1]])
+                got = np.fft.ifft(full * np.fft.fft(g))
+            want = dense(s) @ g
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (op, s)
         with pytest.raises(ValueError):
             dense.symbol(1.0)
     lam = tf.symbol(np.array([[1.0, 2.0 + 1.0j], [3.0 - 1.0j, 0.5 + 4.0j]]))
@@ -136,6 +146,10 @@ def test_single_layer_symmetry():
         assert np.abs(V - V.T).max() <= 1e-13 * np.abs(V).max()
 
 
+def _gather(plan, v, kd):
+    return v[plan.vmap], kd.ravel()[plan.kmap]
+
+
 @pytest.mark.parametrize("kind", ["unit_circle", "l_shape"])
 def test_pair_plan_matches_singleton_plan(kind):
     # one representative per congruence class reproduces the assembly that
@@ -145,9 +159,30 @@ def test_pair_plan_matches_singleton_plan(kind):
     assert single.size == 32 * 33 // 2 > mesh.pair_plan().size
     for s in (1.0, 2.0 + 5.0j, 40.0 + 3.0j, 0.3 - 17.0j):
         V1, K1 = bem.assemble_pair(s, mesh)
-        V2, K2 = bem._assemble(complex(s), mesh, single)
+        V2, K2 = _gather(single, *bem._assemble(complex(s), mesh, single))
         assert np.abs(V1 - V2).max() <= 1e-13 * np.abs(V2).max(), s
         assert np.abs(K1 - K2).max() <= 1e-12 * np.abs(K2).max(), s
+
+
+@pytest.mark.parametrize("kind", ["unit_circle", "l_shape"])
+def test_far_pair_straddling_the_dead_cut(kind):
+    # a far pair with Re s rmin <= 60 < Re s rmax is integrated on all its
+    # points, those past the cut included: its entries stay finite and match
+    # the plan that integrates every pair on its own
+    mesh = bem.make_mesh(kind, 32)
+    single = bem._PairPlan(mesh, *bem._singleton_maps(mesh.n))
+    s = 40.0 + 3.0j
+    rmin, rmax = bem._pair_r_bounds(mesh, single.far_i, single.far_j)
+    cut = bem._DEAD_EXPONENT / s.real
+    straddle = (rmin <= cut) & (rmax > cut)
+    assert straddle.any()
+    i, j = single.far_i[straddle], single.far_j[straddle]
+    V1, K1 = bem.assemble_pair(s, mesh)
+    V2, K2 = _gather(single, *bem._assemble(s, mesh, single))
+    assert np.abs(V1[i, j]).min() > 0.0
+    for A, B in ((V1, V2), (K1, K2), (K1.T, K2.T)):
+        assert np.isfinite(A[i, j]).all()
+        assert np.abs(A[i, j] - B[i, j]).max() <= 1e-13 * np.abs(B).max()
 
 
 def test_pair_plan_class_counts():
@@ -179,9 +214,10 @@ def test_circle_rows_are_exactly_symmetric():
         V, K = bem.assemble_pair(s, mesh)
         for row in (V[0], K[0]):
             assert np.array_equal(row[1:], row[:0:-1]), s
-        # and the matrices are exactly circulant
-        assert np.array_equal(V, bem._circulant(V[0]))
-        assert np.array_equal(K, bem._circulant(K[0]))
+        # and the matrices are exactly circulant, C_ij = C_0,(j-i) mod n
+        idx = (np.arange(64)[None, :] - np.arange(64)[:, None]) % 64
+        assert np.array_equal(V, V[0][idx])
+        assert np.array_equal(K, K[0][idx])
 
 
 def test_cached_pair_plan_assembles_bit_identically():
@@ -197,25 +233,16 @@ def test_cached_pair_plan_assembles_bit_identically():
             assert np.array_equal(V1, V2) and np.array_equal(K1, K2)
 
 
-def test_quadrature_order_stability():
-    # forcing every far-field rule to its maximum order must not move the
-    # matrices: the adaptive orders already resolve the integrands
+def test_quadrature_order_stability(monkeypatch):
+    # forcing every far-pair and graded-cell rule to its maximum order must
+    # not move the matrices: the adaptive orders already resolve the
+    # integrands
     mesh = bem.make_mesh("l_shape", 48)
     s = 30.0 + 40.0j
     V1, K1 = bem.assemble_pair(s, mesh)
-    orig_far, orig_pair = bem._far_order, bem._pair_orders
-
-    def far48(s_, lmax):
-        return 48
-
-    def pair48(s_, leff):
-        return np.full_like(orig_pair(s_, leff), 48)
-
-    bem._far_order, bem._pair_orders = far48, pair48
-    try:
-        V2, K2 = bem.assemble_pair(s, mesh)
-    finally:
-        bem._far_order, bem._pair_orders = orig_far, orig_pair
+    orig = bem._gl_orders
+    monkeypatch.setattr(bem, "_gl_orders", lambda s_, length: np.full_like(orig(s_, length), 48))
+    V2, K2 = bem.assemble_pair(s, mesh)
     assert np.abs(V1 - V2).max() <= 1e-8 * np.abs(V1).max()
     assert np.abs(K1 - K2).max() <= 5e-6 * np.abs(K1).max()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from rkcq import bem, bessel
+from rkcq import bessel
 from rkcq.bessel import bessel_k0, bessel_k1, k0k1
 
 mpmath.mp.dps = 30
@@ -209,26 +209,3 @@ def test_bessel_k0_equals_k0k1_in_the_table_regime():
     z = z[_in_table_regime(z)]
     assert z.size > 2 * bessel._TABLE_BLOCK
     assert np.array_equal(bessel_k0(z), k0k1(z)[0])
-
-
-def test_masked_kernels_all_live_block_equals_partly_dead_block():
-    # one far-field block of pair points (pairs, order, order); the all-live
-    # block takes the direct call, the partly dead one the masked path, and
-    # the live lanes must agree bit for bit
-    rng = np.random.default_rng(4)
-    s = 3.0 - 9.0j
-    live_R = rng.uniform(0.5, 19.0, (7, 6, 6))  # s.real * R <= 57
-    dead_R = rng.uniform(19.0, 30.0, (3, 6, 6))
-    mixed_R = np.concatenate([live_R, dead_R])
-    mixed_R[0, 0, 0] = 25.0
-    live = s.real * mixed_R <= bem._DEAD_EXPONENT
-    assert live[:7].sum() == 7 * 36 - 1 and not live.all() and live.any()
-    for with_kd in (False, True):
-        a0, a1 = bem._masked_kernels(s, live_R, with_kd)
-        b0, b1 = bem._masked_kernels(s, mixed_R, with_kd)
-        assert np.array_equal(a0[live[:7]], b0[:7][live[:7]])
-        assert not b0[~live].any()
-        assert (a1 is None) == (b1 is None) == (not with_kd)
-        if with_kd:
-            assert np.array_equal(a1[live[:7]], b1[:7][live[:7]])
-            assert not b1[~live].any()

@@ -37,13 +37,21 @@ def test_delta_matrix_inverse_relation():
     D = delta_matrix(tab, zeta)
     M = zeta / (1.0 - zeta) * np.outer(np.ones(3), tab.b) + tab.A
     assert np.abs(D @ M - np.eye(3)).max() < 1e-13
+    # an array of zeta gives one Delta per element, equal to the scalar call
+    zetas = np.array([[zeta, -0.5], [0.1j, 0.0]])
+    Ds = delta_matrix(tab, zetas)
+    assert Ds.shape == (2, 2, 3, 3)
+    for idx in np.ndindex(zetas.shape):
+        assert np.abs(Ds[idx] - delta_matrix(tab, zetas[idx])).max() < 1e-15
 
 
 def test_delta_matrix_rejects_singular_argument():
-    # at zeta = 1 the rank-one part blows up
+    # at zeta = 1 the rank-one part blows up, alone or inside an array
     tab = gauss_tableau(2)
-    with pytest.raises(Exception):
-        delta_matrix(tab, 1.0)
+    for zeta in (1.0, np.array([0.5, 1.0, 0.3j])):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                delta_matrix(tab, zeta)
 
 
 def test_identity_kernel_weights():
@@ -203,10 +211,11 @@ def test_rejects_nan_kernel_values():
 
 
 def test_rejects_zero_eps():
-    # eps = 0 puts the contour at the origin, where lambda^{-j} overflows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="identity-kernel"):
-            compute_weights(kmu_transfer(0.5), gauss_tableau(2), 0.1, 8, eps=0.0)
+    # eps = 0 would put the contour at the origin, where lambda^{-j}
+    # overflows; eps outside (0, 1) is rejected before any work
+    for eps in (0.0, -1e-16, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="eps"):
+            compute_weights(kmu_transfer(0.5), gauss_tableau(2), 0.1, 8, eps=eps)
 
 
 def test_delay_kernel_against_shift_sum():
