@@ -625,9 +625,11 @@ class BemTransfer:
         out = np.empty(sv.shape + (n, n), dtype=complex)
         M = mass_matrix(self.mesh)
         for idx in np.ndindex(sv.shape):
-            V, Kd = assemble_pair(sv[idx], self.mesh)
-            rhs = M if self.operator == "inverse_single_layer" else -0.5 * M + Kd
-            out[idx] = np.linalg.solve(V, rhs)
+            if self.operator == "inverse_single_layer":
+                out[idx] = np.linalg.solve(assemble_V(sv[idx], self.mesh), M)
+            else:
+                V, Kd = assemble_pair(sv[idx], self.mesh)
+                out[idx] = np.linalg.solve(V, -0.5 * M + Kd)
         return out
 
 

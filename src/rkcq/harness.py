@@ -15,7 +15,7 @@ import re
 import time
 import warnings
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,6 +59,11 @@ def _tableau(family, m):
     return _FAMILIES[snake_name(family)](m)
 
 
+def _is_stage_count(m):
+    # bool is an int subclass, but True is no stage count
+    return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 1 <= m <= 12
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell; JSON configs mirror these fields exactly."""
@@ -89,8 +94,13 @@ class ExperimentConfig:
 
         if snake_name(self.family) not in _FAMILIES:
             bad("family", "unknown tableau family, choose from %s" % ", ".join(_FAMILIES))
-        if not (isinstance(self.m, (int, np.integer)) and 1 <= self.m <= 12):
+        if not _is_stage_count(self.m):
             bad("m", "the stage count must be an integer in [1, 12]")
+        if not all(_is_stage_count(m) for m in self.m_range):
+            bad("m_range", "stage counts must be integers in [1, 12]")
+        low = {"stability_report": 1, "cancellation_table": 2}.get(self.experiment)
+        if low and not any(m >= low for m in self.m_range):
+            bad("m_range", "%s needs a stage count m >= %d" % (self.experiment, low))
         if not (0.0 < self.eps < 1.0):
             bad("eps", "the contour parameter must lie in (0, 1)")
         if not np.isfinite(self.mu):
@@ -331,18 +341,11 @@ def run_bem_convergence(cfg, reference=None):
     return ConvergenceReport(cfg, rows, {"wall_time_s": time.perf_counter() - t0})
 
 
-def _clean(x):
-    if x is None:
-        return None
-    x = float(x)
-    return None if np.isnan(x) else x
-
-
 def _jsonable(x):
     """Plain-Python view of nested results (numpy scalars, non-finite -> None)."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in x]
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
@@ -354,58 +357,17 @@ def _jsonable(x):
     return x
 
 
-def _theta_grid_summary(m, npts=721, window=0.05):
-    """Sweep theta over [-pi, pi] away from the degenerate angle; track the
-    largest residual real part and the beta range.
-
-    Roots with y near a zero crossing carry beta - 1 = y^{2m}/|P(iy)|^2
-    below the resolution of a double (the correctly rounded beta is exactly
-    1.0), so the strict beta range is taken over lanes where that ratio is
-    representable, y^{2m} > 4 eps |P(iy)|^2; every lane, representable or
-    not, still must come out >= 1.  Lanes with |y| > 1e5 are likewise left
-    out of the range: the slope grows without bound near the degenerate
-    angle.
-    """
-    pol = stability.pade_coeffs(m)
-    thetas = np.linspace(-np.pi, np.pi, npts)
-    if m % 2 == 0:
-        thetas = thetas[np.abs(thetas) >= window]
-    else:
-        thetas = thetas[np.pi - np.abs(thetas) >= window]
-    max_re = 0.0
-    min_beta = np.inf
-    max_beta = 0.0
-    all_above_one = True
-    eps = np.finfo(float).eps
-    for th in thetas:
-        roots, _ = stability.solve_R_equals(m, np.exp(1j * th))
-        if roots.size:
-            max_re = max(max_re, float(np.max(np.abs(roots.real))))
-        y = roots.imag[np.abs(roots.imag) > 1e-8]
-        if not y.size:
-            continue
-        b = stability.beta_coefficient(m, y)
-        all_above_one = all_above_one and bool(np.all(b >= 1.0))
-        y2m = np.float_power(np.abs(y), 2 * m)
-        keep = (np.abs(y) <= 1e5) & (y2m > 4 * eps * np.abs(pol.eval(1j * y)) ** 2)
-        if keep.any():
-            min_beta = min(min_beta, float(b[keep].min()))
-            max_beta = max(max_beta, float(b[keep].max()))
-    return {
-        "theta_count": len(thetas),
-        "max_abs_re_root": max_re,
-        "min_beta": _clean(min_beta if np.isfinite(min_beta) else None),
-        "max_beta": _clean(max_beta),
-        "all_slopes_at_least_one": bool(all_above_one),
-    }
+def _fields(result):
+    """A characterization's fields other than m: the report's JSON keys."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name != "m"}
 
 
 def run_stability_report(m_range=tuple(range(1, 13))):
     """JSON-ready stability report: roots, slopes, escape constants,
     tableau checks and cancellation residuals for each stage count."""
-    m_range = tuple(int(m) for m in m_range)
-    if any(m < 1 or m > 12 for m in m_range):
-        raise ValueError("m_range must lie within [1, 12]")
+    m_range = tuple(m_range)
+    if not all(_is_stage_count(m) for m in m_range):
+        raise ValueError("m_range must hold integers in [1, 12], got %r" % (m_range,))
     report = {"m_values": list(m_range), "per_m": {}}
     for m in m_range:
         tab = gauss_tableau(m)
@@ -413,26 +375,12 @@ def run_stability_report(m_range=tuple(range(1, 13))):
             "pade_coeffs": list(stability.pade_coeffs(m).exact),
             "invertibility_and_simplicity": verify_invertibility_and_simplicity(tab),
             "eigennondegeneracy": verify_eigenvector_nondegeneracy(tab),
-            "theta_grid": _theta_grid_summary(m),
+            "theta_grid": stability.theta_grid_summary(m),
         }
         if m >= 2:
-            c0 = stability.characterize_theta0(m)
-            entry["theta0"] = {
-                "r": list(c0.r),
-                "delta": list(c0.delta),
-                "D": _clean(c0.D),
-                "D_product": _clean(c0.D_product),
-                "D_discrepancy": _clean(c0.D_discrepancy),
-            }
+            entry["theta0"] = _fields(stability.characterize_theta0(m))
             entry["cancellation_residual"] = stability.cancellation_check(m)
-        cpi = stability.characterize_theta_pi(m)
-        entry["theta_pi"] = {
-            "rho": list(cpi.rho),
-            "gamma": list(cpi.gamma),
-            "E": _clean(cpi.E),
-            "E_product": _clean(cpi.E_product),
-            "E_discrepancy": _clean(cpi.E_discrepancy),
-        }
+        entry["theta_pi"] = _fields(stability.characterize_theta_pi(m))
         report["per_m"][str(m)] = entry
     return _jsonable(report)
 

@@ -13,6 +13,9 @@ even m, theta = pi for odd m).  It also provides the spectrum identity
 linking these root sets to the eigenvalues of the CQ matrix Delta(zeta),
 and the stage-order defect vector together with its cancellation property
 against the imaginary roots.
+
+All roots come from one routine: the eigenvalues of a stack of companion
+matrices plus one Newton step.  The theta sweep is one such batched solve.
 """
 
 import math
@@ -34,6 +37,7 @@ __all__ = [
     "pade_coeffs",
     "solve_R_equals",
     "m_theta_roots",
+    "theta_grid_summary",
     "beta_coefficient",
     "beta_from_residue",
     "characterize_theta0",
@@ -53,19 +57,11 @@ class PadePolynomial:
     exact: tuple
 
     def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for p in self.coeffs[::-1]:
-            out = out * z + p
+        out = _horner(self.coeffs, np.asarray(z, dtype=complex))[0]
         return out if out.ndim else complex(out)
 
     def eval_deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        k = len(self.coeffs) - 1
-        for p in self.coeffs[:0:-1]:
-            out = out * z + k * p
-            k -= 1
+        out = _horner(self.coeffs, np.asarray(z, dtype=complex))[1]
         return out if out.ndim else complex(out)
 
     def ratio(self, z):
@@ -145,16 +141,44 @@ def pade_coeffs(m):
     return PadePolynomial(m=m, coeffs=coeffs, exact=tuple(ints))
 
 
+def _horner(c, z):
+    """Value and derivative at z of sum_k c[k] z^k; each c[k] broadcasts
+    against z.  Horner's rule from zero, in np.polyval's operation order."""
+    val = np.zeros_like(z)
+    der = np.zeros_like(z)
+    for k in range(len(c) - 1, 0, -1):
+        val = val * z + c[k]
+        der = der * z + k * c[k]
+    return val * z + c[0], der
+
+
 def _polished_roots(q):
-    """Roots of the polynomial with ascending coefficients q: the companion
-    matrix eigenvalues (np.roots) plus one Newton step."""
-    roots = np.roots(q[::-1]).astype(complex)
-    dq = q[1:] * np.arange(1, len(q))
-    num = np.polyval(q[::-1], roots)
-    den = np.polyval(dq[::-1], roots)
-    ok = np.abs(den) > 0
-    roots[ok] = roots[ok] - num[ok] / den[ok]
-    return roots
+    """Roots, shape q.shape[:-1] + (k,), of the degree-k polynomials with
+    ascending coefficients q[..., :], plus one Newton step.  Each row gets
+    np.roots' companion matrix (first row -p[1:]/p[0] of the descending
+    coefficients p) and, like np.roots, t exact zero roots for t vanishing
+    low coefficients."""
+    q = np.asarray(q)
+    k = q.shape[-1] - 1
+    roots = np.zeros(q.shape[:-1] + (k,), dtype=complex)
+    low = np.argmax(q != 0, axis=-1)
+    for t in np.unique(low):
+        rows = low == t
+        p = q[rows][:, t:][:, ::-1]
+        n = k - t
+        if n:
+            A = np.zeros((len(p), n, n), dtype=p.dtype)
+            A[:, 0, :] = -p[:, 1:] / p[:, :1]
+            A[:, np.arange(1, n), np.arange(n - 1)] = 1
+            roots[rows, :n] = np.linalg.eigvals(A)
+    val, der = _horner(np.moveaxis(q, -1, 0)[..., None], roots)
+    return roots - np.divide(val, der, out=np.zeros_like(val), where=np.abs(der) > 0)
+
+
+def _shifted_coeffs(m, w):
+    """Coefficients q_k = p_k (1 - w(-1)^k) of P_m(z) - w P_m(-z)."""
+    signs = (-1.0) ** np.arange(m + 1)
+    return pade_coeffs(m).coeffs * (1.0 - np.multiply.outer(w, signs))
 
 
 def solve_R_equals(m, w):
@@ -163,22 +187,21 @@ def solve_R_equals(m, w):
     Returns (roots, degenerate).  The polynomial has coefficients
     q_k = p_k (1 - w(-1)^k); the leading one vanishes when w = 1 with m even
     or w = -1 with m odd, in which case the degree drops by one, m-1 roots
-    are returned and degenerate is True.  Roots come from the companion
-    matrix of the normalized polynomial plus one Newton step.
+    are returned and degenerate is True.  An array of w, none of them
+    degenerate, gives roots of shape w.shape + (m,) and degenerate False.
     """
-    w = complex(w)
-    if w == 0:
+    w = np.asarray(w, dtype=complex)
+    if np.any(w == 0):
         raise ValueError("w must be nonzero")
-    pol = pade_coeffs(m)
-    signs = np.where(np.arange(m + 1) % 2 == 0, 1.0, -1.0)
-    q = pol.coeffs * (1.0 - w * signs)
-    # test the factor 1 - w(-1)^m itself: p_m = 1 while p_0 = (2m)!/m! is
-    # huge, so q_m measured against max|q| would flag many angles for m >= 11
-    degenerate = bool(abs(1.0 - w * signs[m]) < 1e-14)
-    qq = q[:m] if degenerate else q
-    if len(qq) < 2:
-        return np.zeros(0, dtype=complex), degenerate
-    return _polished_roots(qq), degenerate
+    q = _shifted_coeffs(m, w)
+    # q_m = 1 - w(-1)^m as p_m = 1; tested alone: p_0 = (2m)!/m! is huge, so
+    # q_m measured against max|q| would flag many angles for m >= 11
+    degenerate = np.abs(q[..., m]) < 1e-14
+    if not degenerate.any():
+        return _polished_roots(q), False
+    if w.ndim:
+        raise ValueError("degenerate w = %r in an array of values" % w[degenerate][0])
+    return _polished_roots(q[:m]), True
 
 
 def beta_coefficient(m, y):
@@ -249,17 +272,13 @@ def _escape_root(m, w):
     are O(1), so the far root is resolved instead by the dominant balance of
     the top two coefficients followed by Newton iterations.
     """
-    pol = pade_coeffs(m)
-    signs = (-1.0) ** np.arange(m + 1)
-    q = pol.coeffs * (1.0 - w * signs)
+    q = _shifted_coeffs(m, w)
     if q[m] == 0.0:
         raise ValueError("no escaping root: leading coefficient vanished")
-    dq = q[1:] * np.arange(1, m + 1)
     z = -q[m - 1] / q[m]
     for _ in range(8):
-        num = np.polyval(q[::-1], z)
-        den = np.polyval(dq[::-1], z)
-        step = num / den
+        val, der = _horner(q, z)
+        step = val / der
         z = z - step
         if abs(step) <= 1e-15 * abs(z):
             break
@@ -273,16 +292,30 @@ def _escape_constant(m, wsign, t1=1e-3, t2=1e-4):
     t * z_max is fitted linearly in t at two small t values and extrapolated
     to t = 0.
     """
-    vals = [t * _escape_root(m, wsign * np.exp(t)) for t in (t1, t2)]
-    v1, v2 = vals
+    v1, v2 = (t * _escape_root(m, wsign * np.exp(t)) for t in (t1, t2))
     return (t1 * v2 - t2 * v1) / (t1 - t2)
 
 
-def _theta0_positive_roots(m):
-    """Positive imaginary parts r of the nonzero roots of R_m(z) = 1, sorted."""
-    roots, _ = solve_R_equals(m, 1.0)
-    y = roots.imag[np.abs(roots) > 1e-7]
+def _positive_roots(m, w):
+    """Positive imaginary parts of the roots of R_m(z) = w, sorted; the root
+    0 at w = 1 is exact (deflated), so it is left out."""
+    y = solve_R_equals(m, w)[0].imag
     return np.sort(y[y > 0])
+
+
+def _characterize(m, w):
+    """(y, beta(y), C, C_product, discrepancy) for R_m(z) = w, w = +-1: the
+    positive imaginary roots, their slopes and, where w = (-1)^m drops the
+    degree, the escape limit C, its product form p_0 / prod y^2 (w = 1) or
+    2 p_0 / prod y^2 (w = -1) and their relative discrepancy; else NaN."""
+    y = _positive_roots(m, w)
+    slopes = beta_coefficient(m, y)
+    if w != (-1.0) ** m:
+        return y, slopes, float("nan"), float("nan"), float("nan")
+    C = _escape_constant(m, w)
+    scale = 1.0 if w > 0 else 2.0
+    C_product = scale * pade_coeffs(m).exact[0] / float(np.prod(y ** 2))
+    return y, slopes, C, C_product, abs(C - C_product) / abs(C_product)
 
 
 def characterize_theta0(m):
@@ -294,17 +327,7 @@ def characterize_theta0(m):
     """
     if m < 2:
         raise ValueError("characterize_theta0 needs m >= 2")
-    r = _theta0_positive_roots(m)
-    delta = beta_coefficient(m, r)
-    if m % 2 == 0:
-        D = _escape_constant(m, 1.0)
-        D_product = pade_coeffs(m).exact[0] / float(np.prod(r ** 2)) if r.size else float(
-            pade_coeffs(m).exact[0]
-        )
-        disc = abs(D - D_product) / abs(D_product)
-    else:
-        D = D_product = disc = float("nan")
-    return Theta0Characterization(m=m, r=r, delta=delta, D=D, D_product=D_product, D_discrepancy=disc)
+    return Theta0Characterization(m, *_characterize(m, 1.0))
 
 
 def characterize_theta_pi(m):
@@ -316,19 +339,37 @@ def characterize_theta_pi(m):
     """
     if m < 1:
         raise ValueError("characterize_theta_pi needs m >= 1")
-    roots, _ = solve_R_equals(m, -1.0)
-    rho = np.sort(roots.imag[roots.imag > 0])
-    gamma = beta_coefficient(m, rho)
-    if m % 2 == 1:
-        E = _escape_constant(m, -1.0)
-        p0 = pade_coeffs(m).exact[0]
-        E_product = 2.0 * p0 / float(np.prod(rho ** 2)) if rho.size else 2.0 * p0
-        disc = abs(E - E_product) / abs(E_product)
-    else:
-        E = E_product = disc = float("nan")
-    return ThetaPiCharacterization(
-        m=m, rho=rho, gamma=gamma, E=E, E_product=E_product, E_discrepancy=disc
-    )
+    return ThetaPiCharacterization(m, *_characterize(m, -1.0))
+
+
+def theta_grid_summary(m, npts=721, window=0.05):
+    """Sweep theta over [-pi, pi] away from the degenerate angle; track the
+    largest residual real part and the beta range.
+
+    Roots with y near a zero crossing carry beta - 1 = y^{2m}/|P(iy)|^2
+    below the resolution of a double (the correctly rounded beta is exactly
+    1.0), so the strict beta range is taken over lanes where that ratio is
+    representable, y^{2m} > 4 eps |P(iy)|^2; every lane, representable or
+    not, still must come out >= 1.  Lanes with |y| > 1e5 are likewise left
+    out of the range: the slope grows without bound near the degenerate
+    angle.
+    """
+    thetas = np.linspace(-np.pi, np.pi, npts)
+    gap = np.abs(thetas) if m % 2 == 0 else np.pi - np.abs(thetas)
+    thetas = thetas[gap >= window]
+    roots, _ = solve_R_equals(m, np.exp(1j * thetas))
+    y = roots.imag[np.abs(roots.imag) > 1e-8]
+    b = beta_coefficient(m, y)
+    y2m = np.float_power(np.abs(y), 2 * m)
+    eps = np.finfo(float).eps
+    kept = b[(np.abs(y) <= 1e5) & (y2m > 4 * eps * np.abs(pade_coeffs(m).eval(1j * y)) ** 2)]
+    return {
+        "theta_count": len(thetas),
+        "max_abs_re_root": float(np.max(np.abs(roots.real), initial=0.0)),
+        "min_beta": float(kept.min()) if kept.size else None,
+        "max_beta": float(kept.max(initial=0.0)),
+        "all_slopes_at_least_one": bool(np.all(b >= 1.0)),
+    }
 
 
 def stability_function_roots(tableau, value):
@@ -386,7 +427,7 @@ def cancellation_check(m):
     if m < 2:
         raise ValueError("cancellation_check needs m >= 2")
     tab = gauss_tableau(m)
-    rpos = _theta0_positive_roots(m)
+    rpos = _positive_roots(m, 1.0)
     if rpos.size == 0:
         return 0.0
     # The defect direction is the collocation interpolation-error integral

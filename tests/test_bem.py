@@ -319,6 +319,17 @@ def test_inverse_single_layer_action():
     assert resid <= 1e-12 * np.abs(M @ g).max()
 
 
+def test_inverse_single_layer_assembles_V_alone(monkeypatch):
+    # the dense route needs no Kd: it is solve(assemble_V(s), M) bit for
+    # bit and never calls assemble_pair
+    mesh = bem.make_mesh("l_shape", 16)
+    M = bem.mass_matrix(mesh)
+    s = np.array([1.0, 2.0 + 5.0j])
+    expect = [np.linalg.solve(bem.assemble_V(sk, mesh), M) for sk in s]
+    monkeypatch.setattr(bem, "assemble_pair", None)
+    assert np.array_equal(bem.BemTransfer(mesh, "inverse_single_layer")(s), expect)
+
+
 def test_transfer_pickles_and_caches():
     mesh = bem.make_mesh("unit_circle", 16)
     tf = bem.BemTransfer(mesh, "exterior_dtn")

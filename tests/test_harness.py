@@ -17,7 +17,6 @@ from rkcq.harness import (
     ExperimentConfig,
     _attach_eocs,
     _mu_label,
-    _theta_grid_summary,
     preset_configs,
     run_cancellation_table,
     run_config,
@@ -153,13 +152,26 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("N_list", (3,)),
     ("N_list", (0,)),
     ("N_list", (32,)),
+    ("m_range", (2.5,)),
+    ("m_range", (13,)),
+    ("m_range", (0, 3)),
+    ("stability_report", ()),
+    ("cancellation_table", ()),
+    ("cancellation_table", (1,)),
+    ("m", True),
+    ("m_range", (True, 3)),
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
-    # in well under 0.1 s and with the field named in the message
-    good = ExperimentConfig(**_GOOD)
-    for make in (lambda: ExperimentConfig(**dict(_GOOD, **{field: value})),
-                 lambda: ExperimentConfig.from_dict(dict(_GOOD, **{field: value})),
+    # in well under 0.1 s and with the field named in the message; an
+    # experiment name in place of the field sets that experiment's m_range
+    base = _GOOD
+    if field in ("stability_report", "cancellation_table"):
+        base = dict(experiment=field)
+        field = "m_range"
+    good = ExperimentConfig(**base)
+    for make in (lambda: ExperimentConfig(**dict(base, **{field: value})),
+                 lambda: ExperimentConfig.from_dict(dict(base, **{field: value})),
                  lambda: replace(good, **{field: value})):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="field %s=" % field):
@@ -335,15 +347,8 @@ def test_stability_report_structure():
     assert e1["theta_pi"]["E"] == pytest.approx(4.0, rel=5e-6)
     with pytest.raises(ValueError):
         run_stability_report((0, 2))
-
-
-def test_theta_grid_summary_excludes_degenerate_window():
-    # m = 11, 12 also cover the largest stage counts of the report
-    for m in (2, 11, 12):
-        s = _theta_grid_summary(m)
-        assert 700 <= s["theta_count"] < 721
-        assert s["max_abs_re_root"] <= 1e-9
-        assert s["min_beta"] > 1.0 and s["all_slopes_at_least_one"]
+    with pytest.raises(ValueError, match="integers"):
+        run_stability_report((2.5,))
 
 
 def test_cancellation_table_range():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rkcq.stability import (
+    _polished_roots,
     beta_coefficient,
     beta_from_residue,
     cancellation_check,
@@ -17,6 +18,7 @@ from rkcq.stability import (
     solve_R_equals,
     stability_function_roots,
     stage_order_defect,
+    theta_grid_summary,
 )
 from rkcq.tableaux import gauss_tableau, radau_iia_tableau, stability_eval
 
@@ -71,6 +73,50 @@ def test_roots_at_theta_zero_m3():
     assert y == pytest.approx([-np.sqrt(60.0), 0.0, np.sqrt(60.0)], abs=1e-10)
 
 
+def _np_roots_polished(q):
+    # the per-polynomial reference: np.roots plus one np.polyval Newton step
+    roots = np.roots(q[::-1]).astype(complex)
+    dq = q[1:] * np.arange(1, len(q))
+    num = np.polyval(q[::-1], roots)
+    den = np.polyval(dq[::-1], roots)
+    ok = np.abs(den) > 0
+    roots[ok] = roots[ok] - num[ok] / den[ok]
+    return roots
+
+
+def test_batched_roots_equal_np_roots_bit_for_bit():
+    rng = np.random.default_rng(23)
+    real = rng.standard_normal((6, 9))
+    stacks = [real, real + 1j * rng.standard_normal((6, 9))]
+    for q in stacks:
+        q[2, 0] = 0.0  # one exact zero root, as np.roots deflates it
+        q[4, :2] = 0.0  # and two
+        got = _polished_roots(q)
+        assert got.shape == (6, 8)
+        for row, roots in zip(q, got):
+            assert np.array_equal(roots, _np_roots_polished(row))
+        assert np.count_nonzero(got[2] == 0) == 1 and np.count_nonzero(got[4] == 0) == 2
+
+
+def test_theta_zero_root_is_exact():
+    for m in range(1, 13):
+        roots, _ = solve_R_equals(m, 1.0)
+        assert np.count_nonzero(roots == 0) == 1
+
+
+def test_array_of_w_matches_scalar_calls():
+    thetas = np.linspace(0.1, 3.0, 7)
+    for m in (1, 4, 11):
+        w = np.exp(1j * thetas)
+        roots, degenerate = solve_R_equals(m, w)
+        assert roots.shape == (7, m) and degenerate is False
+        for wk, rk in zip(w, roots):
+            assert np.array_equal(rk, solve_R_equals(m, wk)[0])
+        bad = np.append(w, (-1.0) ** m)
+        with pytest.raises(ValueError, match="degenerate"):
+            solve_R_equals(m, bad)
+
+
 def test_degenerate_angle_drops_one_root():
     # leading coefficient 1 - w(-1)^m vanishes at w=1 for even m, w=-1 for odd m
     roots_even, deg_even = solve_R_equals(2, 1.0)
@@ -87,6 +133,15 @@ def test_degenerate_angles_on_the_report_grid():
         flagged = [th for th in thetas if solve_R_equals(m, np.exp(1j * th))[1]]
         assert len(flagged) == (1 if m % 2 == 0 else 2)
         assert np.allclose(np.abs(flagged), 0.0 if m % 2 == 0 else np.pi, atol=1e-12)
+
+
+def test_theta_grid_summary_excludes_degenerate_window():
+    # m = 11, 12 also cover the largest stage counts of the report
+    for m in (2, 11, 12):
+        s = theta_grid_summary(m)
+        assert 700 <= s["theta_count"] < 721
+        assert s["max_abs_re_root"] <= 1e-9
+        assert s["min_beta"] > 1.0 and s["all_slopes_at_least_one"]
 
 
 def test_all_roots_purely_imaginary_sample_angles():
