@@ -11,28 +11,36 @@ as matrix-valued transfer functions for the convolution-quadrature engine
 (M is the panel-length mass matrix; inputs are panel-midpoint samples).
 
 Quadrature: a closed-form treatment of the log singularity on the
-diagonal, and one tensor-product block routine (_pair_block) for every
-other pair: Gauss-Legendre on each panel for well-separated pairs, and the
-tensor square of a rule graded geometrically toward the shared vertex for
-panels that touch.  One order rule (_gl_orders) sets both from the
-oscillation of e^{-s r} along a panel or a graded cell.  Pairs whose kernel
-is below e^-60 everywhere are skipped.  Congruent panel pairs have equal
-entries, so a per-mesh pair plan groups the pairs into congruence classes
-and every frequency evaluates one representative per class; the unit
-circle has n//2 + 1 classes and exactly symmetric circulant matrices.  The
-discrete Fourier modes diagonalize every operator there, and
-BemTransfer.symbol returns the transfer operator's eigenvalues on the
-real-FFT lanes.
+diagonal, and a tensor-product rule for every other pair: Gauss-Legendre
+on each panel for well-separated pairs, and the tensor square of a rule
+graded geometrically toward the shared vertex for panels that touch.  One
+order rule (_gl_orders) sets both from the oscillation of e^{-s r} along a
+panel or a graded cell.  Pairs whose kernel is below e^-60 everywhere are
+skipped.  Congruent panel pairs have equal entries, so a per-mesh pair
+plan groups the pairs into congruence classes and every frequency
+evaluates one representative per class; the unit circle has n//2 + 1
+classes and exactly symmetric circulant matrices.  The discrete Fourier
+modes diagonalize every operator there, and BemTransfer.symbol returns the
+transfer operator's eigenvalues on the real-FFT lanes.
+
+Assembly takes an array of frequencies in one pass over the pair plan.
+Each rule's s-independent geometry (distances, weight products and the
+double layer's normal factors, _tensor_rule) is built once and serves
+every frequency that needs that rule.  For each frequency, the pairs are
+grouped by the rkcq.bessel band that holds their whole distance range, so
+K0/K1 run without regime masks, and one batched real matmul contracts the
+values with the weights.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bessel import bessel_k0, k0k1
-from .engine import TransferFunction
+from .bessel import band, bessel_k0, k0k1
+from .engine import _BLOCK, TransferFunction
 from .kernels import snake_name
 
 __all__ = [
@@ -444,27 +452,92 @@ class _PairPlan:
         self.leff = np.minimum(lmax, 2.0 * (rmax - rmin))
 
 
-def _pair_block(s, Pi, Wi, Pj, Wj, ni, nj, with_kd):
-    """V and (with_kd) the (Kd_ij, Kd_ji) values of a block of panel pairs.
+class _TensorRule(NamedTuple):
+    """The s-independent part of a block of tensor-product pair rules, one
+    row per pair over its g h point pairs (x, y).
 
-    Each pair (i, j) is integrated by a tensor product rule: Pi and Wi are
-    the (p, g, 2) points and (p, g) weights of its factor on panel i, Pj
-    and Wj (p, h, 2) and (p, h) on panel j, and ni, nj the (p, 2) panel
+    R is |y - x| (p, g h); A holds the weights w_x w_y (p, 1, g h); D the
+    weights of Kd_ij and Kd_ji (p, 2, g h), A n_j.(y - x)/R and
+    -A n_i.(y - x)/R, or None when Kd is not needed; rmin and rmax are the
+    (p,) extremes of R.
+    """
+
+    R: np.ndarray
+    A: np.ndarray
+    D: Optional[np.ndarray]
+    rmin: np.ndarray
+    rmax: np.ndarray
+
+
+def _tensor_rule(Pi, Wi, Pj, Wj, ni, nj, with_kd):
+    """_TensorRule of the pairs (i, j) whose rule is the tensor product of
+    one on panel i (points Pi (p, g, 2), weights Wi (p, g)) and one on
+    panel j (Pj (p, h, 2), Wj (p, h)); ni and nj are the (p, 2) panel
     normals.  R is symmetric, so one K0/K1 evaluation serves V and both Kd
     orientations (they differ just in which panel's normal enters the dot
-    factor and in the sign of the difference vector).  Returns the (p,)
-    values of V and the (p, 2) values of Kd, None without with_kd.
+    factor and in the sign of the difference vector).
     """
-    dv = Pj[:, None, :, :] - Pi[:, :, None, :]
-    R = np.linalg.norm(dv, axis=3)
+    dx = Pj[:, None, :, 0] - Pi[:, :, None, 0]
+    dy = Pj[:, None, :, 1] - Pi[:, :, None, 1]
+    R = np.sqrt(dx * dx + dy * dy)
+    A = Wi[:, :, None] * Wj[:, None, :]
+    p = len(R)
+    D = None
+    if with_kd:
+        D = np.empty((p, 2) + R.shape[1:])
+        for k, nrm in enumerate((nj, -ni)):
+            D[:, k] = (dx * nrm[:, 0, None, None] + dy * nrm[:, 1, None, None]) * A / R
+        D = D.reshape(p, 2, -1)
+    R = R.reshape(p, -1)
+    return _TensorRule(R, A.reshape(p, 1, -1), D, R.min(axis=1), R.max(axis=1))
+
+
+# band id of the pairs whose r-range crosses a Bessel band edge, and the
+# points below which a band group joins them: a kernel call has a fixed cost
+# of about 200 us (one numpy pass per series or Horner term), as much as the
+# masks of several thousand arguments, so a smaller group gains nothing
+# from running alone
+_MIXED = -2
+_MIN_GROUP = 16384
+
+
+def _rule_values(s, rule, sel, with_kd):
+    """V and (with_kd) (Kd_ij, Kd_ji) of the rule's pairs sel at frequency s.
+
+    The pairs are grouped by the rkcq.bessel band that holds all of
+    s [rmin, rmax]; pairs that cross a band edge, and groups of fewer than
+    _MIN_GROUP points, form one more group.  Each group takes one k0k1 (or
+    bessel_k0) call, which evaluates a one-band array without masks, and
+    one batched real matmul per output contracts the values, viewed as
+    float pairs, with the rule's weights.  Returns the (q,) values of V and
+    the (q, 2) values of Kd, None without with_kd.
+    """
+    R = rule.R[sel]
+    lo, hi = band(s * np.stack([rule.rmin[sel], rule.rmax[sel]]))
+    ids = np.where(lo == hi, lo, _MIXED)
+    groups, counts = np.unique(ids, return_counts=True)
+    small = counts * R.shape[1] < _MIN_GROUP
+    if small.any():
+        ids[np.isin(ids, groups[small])] = _MIXED
+        groups = np.unique(ids)
+    kernel = k0k1 if with_kd else (lambda z: (bessel_k0(z),))
+    if groups.size == 1:
+        vals = kernel(s * R)
+    else:
+        vals = [np.empty(R.shape, dtype=complex) for _ in range(1 + with_kd)]
+        for g in groups:
+            m = ids == g
+            for out, val in zip(vals, kernel(s * R[m])):
+                out[m] = val
+
+    def contract(W, val):
+        q, G = val.shape
+        return (W @ val.view(float).reshape(q, G, 2)).view(complex)[..., 0]
+
+    v = contract(rule.A[sel], vals[0])[:, 0] / (2.0 * np.pi)
     if not with_kd:
-        return np.einsum("pg,ph,pgh->p", Wi, Wj, bessel_k0(s * R)) / (2.0 * np.pi), None
-    k0v, k1v = k0k1(s * R)
-    dotu = np.einsum("pghd,pd->pgh", dv, nj) / R
-    dotl = -np.einsum("pghd,pd->pgh", dv, ni) / R
-    kd = np.stack([np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotu),
-                   np.einsum("pg,ph,pgh->p", Wi, Wj, k1v * dotl)], axis=1)
-    return np.einsum("pg,ph,pgh->p", Wi, Wj, k0v) / (2.0 * np.pi), -s / (2.0 * np.pi) * kd
+        return v, None
+    return v, -s / (2.0 * np.pi) * contract(rule.D[sel], vals[1])
 
 
 # e^{-Re(s) r} bound on K0/K1 below which a pair contributes nothing: at 60
@@ -473,81 +546,112 @@ def _pair_block(s, Pi, Wi, Pj, Wj, ni, nj, with_kd):
 _DEAD_EXPONENT = 60.0
 
 
-def _pair_blocks(s, mesh, plan):
-    """The off-diagonal classes as _pair_block arguments, one block at a
-    time: (classes, Pi, Wi, Pj, Wj, ni, nj).
+def _rules(s, mesh, plan, with_kd):
+    """The off-diagonal classes as tensor rules, each built once for every
+    frequency of the flat array s that needs it: (classes, rule, uses),
+    uses a list of (f, sel), frequency s[f] taking the rule's pairs sel
+    (a slice or an index array).
 
-    The touching classes come first, in one block.  Their rule is the
-    tensor square of the graded rule toward the shared vertex vx:
-    x = vx + t (fi - vx) on panel i and y = vx + t (fj - vx) on panel j,
-    with weights w li and w lj, every graded cell taking its order from its
-    width on the longest touching panel (not rounded: the graded rule is
-    not converged at its lowest orders, and 9 -> 10 moves touching Kd
-    entries by up to 1.2e-7 relative).  The far classes follow in chunks
-    of pairs that share a Gauss-Legendre order, rounded up to even to halve
-    the mesh's cache of panel points; pairs beyond the dead exponent are
-    left out and keep their zeros.
+    The touching classes come first, one rule per graded-order tuple.
+    Their rule is the tensor square of the graded rule toward the shared
+    vertex vx: x = vx + t (fi - vx) on panel i and y = vx + t (fj - vx) on
+    panel j, with weights w li and w lj, every graded cell taking its order
+    from its width on the longest touching panel (not rounded: the graded
+    rule is not converged at its lowest orders, and 9 -> 10 moves touching
+    Kd entries by up to 1.2e-7 relative).  The far classes follow, grouped
+    by Gauss-Legendre order, rounded up to even to halve the mesh's cache
+    of panel points: for each order, the pairs that any frequency needs at
+    it, in chunks.  A frequency leaves out the pairs beyond its dead
+    exponent, which keep their zeros.
     """
     vx, fi, fj, ni, nj, li, lj = plan.touch_geometry
     lmax = max(li.max(), lj.max())
-    t, w = _graded_rule(tuple(_gl_orders(s, _GRADE_SPANS * lmax).tolist()))
-    yield (plan.touch,
-           vx[:, None, :] + t[None, :, None] * (fi - vx)[:, None, :], w * li[:, None],
-           vx[:, None, :] + t[None, :, None] * (fj - vx)[:, None, :], w * lj[:, None], ni, nj)
-    orders = (_gl_orders(s, plan.leff) + 1) & ~1
-    live = s.real * plan.rmin <= _DEAD_EXPONENT
-    cls, iu, ju, orders = plan.far[live], plan.far_i[live], plan.far_j[live], orders[live]
-    for o in np.unique(orders):
-        sel = orders == o
-        co, io, jo = cls[sel], iu[sel], ju[sel]
+    keys = [tuple(_gl_orders(sf, _GRADE_SPANS * lmax).tolist()) for sf in s]
+    for key in dict.fromkeys(keys):
+        t, w = _graded_rule(key)
+        rule = _tensor_rule(vx[:, None, :] + t[None, :, None] * (fi - vx)[:, None, :],
+                            w * li[:, None],
+                            vx[:, None, :] + t[None, :, None] * (fj - vx)[:, None, :],
+                            w * lj[:, None], ni, nj, with_kd)
+        yield plan.touch, rule, [(f, slice(None)) for f, k in enumerate(keys) if k == key]
+    orders = (_gl_orders(s[:, None], plan.leff) + 1) & ~1
+    orders[s.real[:, None] * plan.rmin > _DEAD_EXPONENT] = 0
+    for o in np.unique(orders[orders > 0]):
+        need = orders == o
+        pairs = np.flatnonzero(need.any(axis=0))
         P, W = mesh.gl_points(int(o))
         chunk = max(32, 500_000 // int(o * o))
-        for p0 in range(0, io.size, chunk):
-            c, ic, jc = co[p0 : p0 + chunk], io[p0 : p0 + chunk], jo[p0 : p0 + chunk]
-            yield c, P[ic], W[ic], P[jc], W[jc], mesh.normal[ic], mesh.normal[jc]
+        for p0 in range(0, pairs.size, chunk):
+            pc = pairs[p0 : p0 + chunk]
+            ic, jc = plan.far_i[pc], plan.far_j[pc]
+            rule = _tensor_rule(P[ic], W[ic], P[jc], W[jc], mesh.normal[ic], mesh.normal[jc],
+                                with_kd)
+            uses = []
+            for f in np.flatnonzero(need[:, pc].any(axis=1)):
+                m = need[f, pc]
+                uses.append((f, slice(None) if m.all() else np.flatnonzero(m)))
+            yield plan.far[pc], rule, uses
 
 
 def _assemble(s, mesh, plan, with_kd=True):
-    """Per-class values v of V and kd of Kd (None without with_kd).
+    """Per-class values v of V and kd of Kd (None without with_kd) at the
+    frequencies s, of shapes np.shape(s) + (plan.size,) and
+    np.shape(s) + (plan.size, 2).
 
     Each class is evaluated on its representative (r, q) only: the closed
-    form on the diagonal (where Kd vanishes) and _pair_block on every other
-    pair.  V is v[plan.vmap] and Kd is kd.ravel()[plan.kmap], kd[c] holding
-    (Kd_rq, Kd_qr).
+    form on the diagonal (where Kd vanishes) and a tensor rule on every
+    other pair, whose geometry _rules builds once for all the frequencies
+    that use it.  V is v[..., plan.vmap] and Kd is kd[..., c, :] gathered
+    through plan.kmap, kd[..., c, :] holding (Kd_rq, Kd_qr).  A
+    frequency's values come from the same operations whatever the other
+    frequencies of s; only a different split of its pairs into chunks
+    changes the Bessel array sizes it sees, and with them possibly the
+    last bits.
     """
-    v = np.zeros(plan.size, dtype=complex)
-    kd = np.zeros((plan.size, 2), dtype=complex) if with_kd else None
-    for c, ell in zip(plan.diag, plan.diag_length):
-        v[c] = 2.0 * _self_weighted_k0_integral(s, float(ell)) / (2.0 * np.pi)
-    for c, *block in _pair_blocks(s, mesh, plan):
-        v[c], kc = _pair_block(s, *block, with_kd)
-        if with_kd:
-            kd[c] = kc
-    return v, kd
+    sv = np.asarray(s, dtype=complex)
+    flat = sv.reshape(-1)
+    v = np.zeros((flat.size, plan.size), dtype=complex)
+    kd = np.zeros((flat.size, plan.size, 2), dtype=complex) if with_kd else None
+    for f, sf in enumerate(flat):
+        for c, ell in zip(plan.diag, plan.diag_length):
+            v[f, c] = 2.0 * _self_weighted_k0_integral(sf, float(ell)) / (2.0 * np.pi)
+    for classes, rule, uses in _rules(flat, mesh, plan, with_kd):
+        for f, sel in uses:
+            c = classes[sel]
+            v[f, c], kc = _rule_values(flat[f], rule, sel, with_kd)
+            if with_kd:
+                kd[f, c] = kc
+    v = v.reshape(sv.shape + (plan.size,))
+    return v, None if kd is None else kd.reshape(sv.shape + (plan.size, 2))
 
 
 def _frequency(s):
-    s = complex(s)
-    if s.real <= 0:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= 0):
         raise ValueError("assembly requires Re s > 0")
     return s
 
 
 def assemble_pair(s, mesh):
-    """Assemble (V(s), Kd(s)) in one pass over the mesh's pair plan."""
+    """Assemble (V(s), Kd(s)) in one pass over the mesh's pair plan.
+
+    s may be an array of frequencies; both results then have shape
+    np.shape(s) + (n, n), and each frequency's matrices are those of
+    assembling it alone (see _assemble).
+    """
     plan = mesh.pair_plan()
     v, kd = _assemble(_frequency(s), mesh, plan)
-    return v[plan.vmap], kd.ravel()[plan.kmap]
+    return v[..., plan.vmap], kd.reshape(v.shape[:-1] + (-1,))[..., plan.kmap]
 
 
 def assemble_V(s, mesh):
     """Galerkin single-layer matrix V_ij = (1/2pi) int_i int_j K0(s|x-y|).
 
-    Only K0 is evaluated; the result equals assemble_pair(s, mesh)[0] bit
-    for bit.
+    Only K0 is evaluated; s may be an array, as in assemble_pair, and the
+    result equals assemble_pair(s, mesh)[0] bit for bit.
     """
     plan = mesh.pair_plan()
-    return _assemble(_frequency(s), mesh, plan, with_kd=False)[0][plan.vmap]
+    return _assemble(_frequency(s), mesh, plan, with_kd=False)[0][..., plan.vmap]
 
 
 def mass_matrix(mesh):
@@ -572,8 +676,10 @@ class BemTransfer:
 
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
-    data to the outward normal derivative of the exterior solution.  Each
-    frequency takes one assembly and one dense solve, on every mesh.
+    data to the outward normal derivative of the exterior solution.  The
+    frequencies are assembled in slices of at most max(1, 2^18 // n^2), one
+    assemble_V or assemble_pair call each, and every frequency takes one
+    dense solve.
     """
 
     def __init__(self, mesh, operator):
@@ -601,8 +707,8 @@ class BemTransfer:
             inverse_single_layer:  ell / fft(v)
             exterior_dtn:          (-ell/2 + fft(kd)) / fft(v)
 
-        The single layer assembles V alone (K0 only).  s may be an array;
-        the result has shape np.shape(s) + (n//2 + 1,).
+        The single layer assembles V alone (K0 only).  s may be an array,
+        assembled in one pass; the result has shape np.shape(s) + (n//2 + 1,).
         """
         mesh = self.mesh
         if not mesh.circulant:
@@ -611,26 +717,32 @@ class BemTransfer:
         ell = mesh.length[0]
         isl = self.operator == "inverse_single_layer"
         plan = mesh.pair_plan()
-        sv = np.asarray(s, dtype=complex)
-        out = np.empty(sv.shape + (lanes,), dtype=complex)
-        for idx in np.ndindex(sv.shape):
-            vals, kds = _assemble(_frequency(sv[idx]), mesh, plan, with_kd=not isl)
-            num = ell if isl else -0.5 * ell + np.fft.fft(kds.ravel()[plan.kmap[0]])[:lanes]
-            out[idx] = num / np.fft.fft(vals[plan.vmap[0]])[:lanes]
-        return out
+        sv = _frequency(s)
+        vals, kds = _assemble(sv.reshape(-1), mesh, plan, with_kd=not isl)
+        out = np.empty((sv.size, lanes), dtype=complex)
+        for f in range(sv.size):
+            num = ell if isl else -0.5 * ell + np.fft.fft(kds[f].ravel()[plan.kmap[0]])[:lanes]
+            out[f] = num / np.fft.fft(vals[f, plan.vmap[0]])[:lanes]
+        return out.reshape(sv.shape + (lanes,))
 
     def __call__(self, s):
-        n = self.mesh.n
+        mesh = self.mesh
+        n = mesh.n
         sv = np.asarray(s, dtype=complex)
-        out = np.empty(sv.shape + (n, n), dtype=complex)
-        M = mass_matrix(self.mesh)
-        for idx in np.ndindex(sv.shape):
+        flat = sv.reshape(-1)
+        out = np.empty((flat.size, n, n), dtype=complex)
+        M = mass_matrix(mesh)
+        # frequencies per assembly: the slice's matrices stay as small as
+        # one block of the engine's weight transform
+        step = max(1, _BLOCK // (n * n))
+        for a in range(0, flat.size, step):
+            sl = flat[a : a + step]
             if self.operator == "inverse_single_layer":
-                out[idx] = np.linalg.solve(assemble_V(sv[idx], self.mesh), M)
+                out[a : a + step] = np.linalg.solve(assemble_V(sl, mesh), M)
             else:
-                V, Kd = assemble_pair(sv[idx], self.mesh)
-                out[idx] = np.linalg.solve(V, -0.5 * M + Kd)
-        return out
+                V, Kd = assemble_pair(sl, mesh)
+                out[a : a + step] = np.linalg.solve(V, -0.5 * M + Kd)
+        return out.reshape(sv.shape + (n, n))
 
 
 def make_transfer(problem, mesh=None):

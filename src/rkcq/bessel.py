@@ -1,7 +1,8 @@
 """Modified Bessel functions K0 and K1 for complex argument, Re z > 0.
 
 Three regimes, series / Taylor table / asymptotic, selected per entry so
-array evaluation stays vectorized:
+array evaluation stays vectorized (an array whose arguments all lie in one
+band of one regime goes to that band's kernel whole, without masks):
 
 * ascending power series where |z| + Re z <= 8.5, evaluated as four
   Horner polynomials in q = z^2/4,
@@ -40,12 +41,12 @@ Re z > 700 both functions underflow to exactly 0, which is harmless for
 exponentially decaying kernels.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.special
 
-__all__ = ["bessel_k0", "bessel_k1", "k0k1"]
+__all__ = ["band", "bessel_k0", "bessel_k1", "k0k1"]
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -102,22 +103,22 @@ def _horner(coef, x):
     return out
 
 
-def _series_k(z, kmax, rows):
-    """Ascending series for K0 (rows 2) or K0, K1 (rows 4); accurate while
-    |z| + Re z is moderate."""
-    sums = _horner(_SERIES_COEF[kmax][:rows], z * z / 4.0)
+def _series_k(z, orders, kmax):
+    """Ascending series for K0 (orders 1) or K0, K1 (orders 2) to depth
+    kmax; accurate while |z| + Re z is moderate."""
+    sums = _horner(_SERIES_COEF[kmax][: 2 * orders], z * z / 4.0)
     lg = np.log(z) + (_EULER_GAMMA - np.log(2.0))
     k0 = sums[1] - lg * sums[0]
-    if rows == 2:
+    if orders == 1:
         return (k0,)
     return k0, 1.0 / z + z * (lg * sums[2] - sums[3])
 
 
-def _asym_k(z, terms, rows):
-    """Large-argument expansion of K0 (rows 1) or K0, K1 (rows 2) to a
+def _asym_k(z, orders, terms):
+    """Large-argument expansion of K0 (orders 1) or K0, K1 (orders 2) to a
     fixed depth."""
     w = 1.0 / z
-    sums = _horner(_ASYM_COEF[terms][:rows], w)
+    sums = _horner(_ASYM_COEF[terms][:orders], w)
     pref = np.sqrt(w) * np.exp(-z)
     return tuple(pref * sk for sk in sums)
 
@@ -200,37 +201,77 @@ def _table_k(z, orders):
     return out
 
 
+# every band of the three regimes, in the order of _band's index: the
+# series bands by |z|, the Taylor table, the asymptotic bands by |z|
+_BAND_KERNELS = (
+    [partial(_series_k, kmax=kmax) for _, kmax in _SERIES_BANDS]
+    + [_table_k]
+    + [partial(_asym_k, terms=terms) for _, terms in _ASYM_BANDS]
+)
+# upper |z| edges of the bands of _BAND_KERNELS but the last: the series
+# bands end at 8.5 (a series argument has |z| <= |z| + Re z <= 8.5), the
+# table just below 16.5
+_EDGES = np.array([min(hi, 8.5) for hi, _ in _SERIES_BANDS] + [np.nextafter(16.5, 0.0)]
+                  + [hi for hi, _ in _ASYM_BANDS[:-1]])
+
+
+def _band(az, sz):
+    """Index into _BAND_KERNELS of the band that evaluates arguments with
+    |z| = az and |z| + Re z = sz.
+
+    Series where sz <= 8.5, asymptotic where az >= 16.5 (which implies
+    sz > 8.5 on Re z > 0), the table between; a band of a |z|-banded
+    regime holds lo < az <= hi.  A table argument is keyed to |z| raised to
+    8.75, past the series edges.  The index grows with az and with sz, so
+    arguments whose (min az, min sz) and (max az, max sz) fall in one band
+    all lie in it.
+    """
+    return np.searchsorted(_EDGES, np.where(sz <= 8.5, az, np.maximum(az, 8.75)))
+
+
+def band(z):
+    """Band of every argument (an index into the module's band list), -1
+    where Re z > 700 and the values flush to 0.
+
+    Arrays that hold one band's arguments only are evaluated without
+    masks.  For z = s r with r > 0 real, |z| and |z| + Re z grow with r, so
+    the arguments s r over r in [r0, r1] lie in one band when band(s r0)
+    equals band(s r1) and is not -1.
+    """
+    z = np.asarray(z, dtype=complex)
+    az = np.abs(z)
+    return np.where(z.real > 700.0, -1, _band(az, az + z.real))
+
+
 def _bessel_k(z, orders):
     """K0 (orders 1) or K0 and K1 (orders 2) for Re z > 0, elementwise.
 
+    An array whose arguments all lie in one band (and all at Re z <= 700)
+    goes to that band's kernel whole, which gives the bits the split would
+    give; any other array is split by band, with zeros where Re z > 700.
     Each K0 value is computed by the same operations whether or not K1 is
-    asked for, so both give it bit for bit.
+    asked for.  numpy's complex arithmetic can round differently on arrays
+    of different sizes, so the last bits of a value may depend on the size
+    of the array (or band subset) its argument comes in.
     """
     z = np.asarray(z, dtype=complex)
     zf = np.atleast_1d(z).ravel()
-    if np.any(zf.real <= 0):
+    re = zf.real
+    if np.any(re <= 0):
         raise ValueError("K0/K1 evaluation requires Re z > 0")
-    out = [np.zeros_like(zf) for _ in range(orders)]
-
-    live = zf.real <= 700.0
     az = np.abs(zf)
-    m_ser = live & (az + zf.real <= 8.5)
-    m_asy = live & ~m_ser & (az >= 16.5)
-    m_mid = live & ~m_ser & ~m_asy
-
-    for mask, bands, evaluate, rows in ((m_ser, _SERIES_BANDS, _series_k, 2 * orders),
-                                        (m_asy, _ASYM_BANDS, _asym_k, orders)):
-        lo = 0.0
-        for hi, depth in bands:
-            m = mask & (az > lo) & (az <= hi)
+    sz = az + re
+    b = int(_band(az.min(), sz.min())) if zf.size and re.max() <= 700.0 else -1
+    if b >= 0 and b == _band(az.max(), sz.max()):
+        out = _BAND_KERNELS[b](zf, orders)
+    else:
+        ids = np.where(re <= 700.0, _band(az, sz), -1)
+        out = [np.zeros_like(zf) for _ in range(orders)]
+        for b, kernel in enumerate(_BAND_KERNELS):
+            m = ids == b
             if m.any():
-                for k, val in zip(out, evaluate(zf[m], depth, rows)):
+                for k, val in zip(out, kernel(zf[m], orders)):
                     k[m] = val
-            lo = hi
-    if m_mid.any():
-        for k, val in zip(out, _table_k(zf[m_mid], orders)):
-            k[m_mid] = val
-
     if z.ndim == 0:
         return tuple(complex(k[0]) for k in out)
     return tuple(k.reshape(z.shape) for k in out)

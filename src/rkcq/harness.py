@@ -378,8 +378,9 @@ def run_stability_report(m_range=tuple(range(1, 13))):
             "theta_grid": stability.theta_grid_summary(m),
         }
         if m >= 2:
-            entry["theta0"] = _fields(stability.characterize_theta0(m))
-            entry["cancellation_residual"] = stability.cancellation_check(m)
+            roots = stability.theta0_roots(m)
+            entry["theta0"] = _fields(stability.characterize_theta0(m, roots))
+            entry["cancellation_residual"] = stability.cancellation_check(m, roots)
         entry["theta_pi"] = _fields(stability.characterize_theta_pi(m))
         report["per_m"][str(m)] = entry
     return _jsonable(report)

@@ -40,6 +40,7 @@ __all__ = [
     "theta_grid_summary",
     "beta_coefficient",
     "beta_from_residue",
+    "theta0_roots",
     "characterize_theta0",
     "characterize_theta_pi",
     "delta_spectrum_matches",
@@ -303,12 +304,21 @@ def _positive_roots(m, w):
     return np.sort(y[y > 0])
 
 
-def _characterize(m, w):
+def theta0_roots(m):
+    """The positive imaginary parts r_l of the theta = 0 roots, sorted:
+    the roots that characterize_theta0 and cancellation_check use, solved
+    once when both are passed them."""
+    return _positive_roots(m, 1.0)
+
+
+def _characterize(m, w, y=None):
     """(y, beta(y), C, C_product, discrepancy) for R_m(z) = w, w = +-1: the
-    positive imaginary roots, their slopes and, where w = (-1)^m drops the
-    degree, the escape limit C, its product form p_0 / prod y^2 (w = 1) or
-    2 p_0 / prod y^2 (w = -1) and their relative discrepancy; else NaN."""
-    y = _positive_roots(m, w)
+    positive imaginary roots (solved unless y gives them), their slopes
+    and, where w = (-1)^m drops the degree, the escape limit C, its product
+    form p_0 / prod y^2 (w = 1) or 2 p_0 / prod y^2 (w = -1) and their
+    relative discrepancy; else NaN."""
+    if y is None:
+        y = _positive_roots(m, w)
     slopes = beta_coefficient(m, y)
     if w != (-1.0) ** m:
         return y, slopes, float("nan"), float("nan"), float("nan")
@@ -318,16 +328,17 @@ def _characterize(m, w):
     return y, slopes, C, C_product, abs(C - C_product) / abs(C_product)
 
 
-def characterize_theta0(m):
+def characterize_theta0(m, roots=None):
     """Positive imaginary roots r_l at theta=0, their slopes delta_l, and
     for even m the escape constant D with t*z_max(t,0) -> D.
 
     D is primarily the numerical limit; the closed product p_0 / prod r_l^2
-    is carried alongside with their relative discrepancy.
+    is carried alongside with their relative discrepancy.  roots, when
+    given, are theta0_roots(m) and are not solved again.
     """
     if m < 2:
         raise ValueError("characterize_theta0 needs m >= 2")
-    return Theta0Characterization(m, *_characterize(m, 1.0))
+    return Theta0Characterization(m, *_characterize(m, 1.0, roots))
 
 
 def characterize_theta_pi(m):
@@ -416,18 +427,19 @@ def stage_order_defect(tableau):
     return StageOrderDefect(m=tableau.m, q=q, C=C)
 
 
-def cancellation_check(m):
+def cancellation_check(m, roots=None):
     """Max normalized residual of b^T[(I - i r A)^{-1} + (-1)^m (I + i r A)^{-1}] C
     over the theta=0 roots r of the m-stage Gauss method.
 
     The combination vanishes identically in exact arithmetic; the residual is
     normalized by |b^T (I - i r A)^{-1} C|.  Returns 0 when there are no
-    nonzero roots (m = 2).
+    nonzero roots (m = 2).  roots, when given, are theta0_roots(m) and are
+    not solved again.
     """
     if m < 2:
         raise ValueError("cancellation_check needs m >= 2")
     tab = gauss_tableau(m)
-    rpos = _positive_roots(m, 1.0)
+    rpos = theta0_roots(m) if roots is None else roots
     if rpos.size == 0:
         return 0.0
     # The defect direction is the collocation interpolation-error integral

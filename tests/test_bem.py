@@ -1,6 +1,8 @@
 import numpy as np
 import pickle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkcq import bem
 from rkcq.bessel import bessel_k0, bessel_k1, k0k1
@@ -125,6 +127,31 @@ def test_assemble_V_equals_pair_bit_for_bit():
         mesh = bem.make_mesh(kind, 32)
         for s in (1.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j):
             assert np.array_equal(bem.assemble_V(s, mesh), bem.assemble_pair(s, mesh)[0])
+
+
+_MESHES = {(kind, n): bem.make_mesh(kind, n) for kind in ("unit_circle", "l_shape")
+           for n in (16, 32)}
+_FREQUENCY = st.builds(complex, st.floats(0.05, 300.0), st.floats(-250.0, 250.0))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(_MESHES)), s=st.lists(_FREQUENCY, min_size=1, max_size=4),
+       dups=st.lists(st.integers(0, 3), max_size=2))
+def test_frequency_batch_assembles_each_frequency_as_alone(key, s, dups):
+    # a frequency's matrices do not depend on the batch it is assembled in
+    # (duplicates included), and the K0-only route matches the pair route
+    mesh = _MESHES[key]
+    s = np.array(s + [s[d % len(s)] for d in dups])
+    V, K = bem.assemble_pair(s, mesh)
+    assert V.shape == K.shape == s.shape + (mesh.n, mesh.n)
+    for k, sk in enumerate(s):
+        Vk, Kk = bem.assemble_pair(sk, mesh)
+        assert np.array_equal(V[k], Vk) and np.array_equal(K[k], Kk), sk
+    assert np.array_equal(bem.assemble_V(s, mesh), V)
+    if mesh.circulant:
+        for op in ("inverse_single_layer", "exterior_dtn"):
+            tf = bem.BemTransfer(mesh, op)
+            assert np.array_equal(tf.symbol(s), [tf.symbol(sk) for sk in s]), op
 
 
 def test_mode_transfer_metadata():

@@ -209,3 +209,43 @@ def test_bessel_k0_equals_k0k1_in_the_table_regime():
     z = z[_in_table_regime(z)]
     assert z.size > 2 * bessel._TABLE_BLOCK
     assert np.array_equal(bessel_k0(z), k0k1(z)[0])
+
+
+def test_one_band_arrays_skip_the_masks_and_keep_their_values(monkeypatch):
+    # an array whose arguments all lie in one series, table or asymptotic
+    # band goes to that band's kernel whole; its values equal, bit for bit,
+    # those of the same arguments inside an array that mixes every band
+    rng = np.random.default_rng(21)
+    z = np.exp(rng.uniform(np.log(0.01), np.log(3000.0), 40000)) * np.exp(
+        1j * rng.uniform(-1.55, 1.55, 40000))
+    ids = bessel.band(z)
+    k0, k1 = k0k1(z)
+    k0_only = bessel_k0(z)
+    calls = []
+    kernels = list(bessel._BAND_KERNELS)
+
+    def spy(b):
+        def kernel(zb, orders):
+            calls.append((b, zb.size))
+            return kernels[b](zb, orders)
+        return kernel
+
+    monkeypatch.setattr(bessel, "_BAND_KERNELS", [spy(b) for b in range(len(kernels))])
+    for b in range(len(kernels)):
+        one = ids == b
+        assert one.sum() > 100, b
+        calls.clear()
+        got0, got1 = k0k1(z[one])
+        assert calls == [(b, one.sum())]
+        assert np.array_equal(got0, k0[one]) and np.array_equal(got1, k1[one]), b
+        assert np.array_equal(bessel_k0(z[one]), k0_only[one]), b
+    # past Re z = 700 the values still flush to exact zeros, alone or mixed
+    dead = ids == -1
+    assert dead.sum() > 100
+    for zd in (z[dead], np.concatenate([z[dead], [1.0, 20.0 + 5.0j]])):
+        calls.clear()
+        got0, got1 = k0k1(zd)
+        assert not got0[: dead.sum()].any() and not got1[: dead.sum()].any()
+        assert not bessel_k0(zd)[: dead.sum()].any()
+        assert all(size < zd.size for _, size in calls)
+    assert np.array_equal(k0[dead], np.zeros(dead.sum()))

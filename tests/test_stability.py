@@ -1,10 +1,12 @@
 """Root loci of R_m(z) = e^{i theta}, path-slope constants, spectrum identity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from rkcq import harness, stability
 from rkcq.stability import (
     _polished_roots,
     beta_coefficient,
@@ -18,6 +20,7 @@ from rkcq.stability import (
     solve_R_equals,
     stability_function_roots,
     stage_order_defect,
+    theta0_roots,
     theta_grid_summary,
 )
 from rkcq.tableaux import gauss_tableau, radau_iia_tableau, stability_eval
@@ -255,6 +258,23 @@ def test_stage_order_defect_leading_coefficient():
         assert d.q == q
         assert np.allclose(d.C, expect, atol=1e-14)
         assert np.linalg.norm(d.C) > 1e-12  # defect is genuinely nonzero
+
+
+def test_theta0_roots_are_solved_once_per_report(monkeypatch):
+    # the characterization and the cancellation check give the same values
+    # from roots passed in as from their own solve, and the report solves
+    # R_m(z) = 1 once per stage count
+    for m in range(2, 13):
+        roots = theta0_roots(m)
+        a, b = characterize_theta0(m), characterize_theta0(m, roots)
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+        assert cancellation_check(m, roots) == cancellation_check(m)
+    solved = []
+    real = stability.solve_R_equals
+    monkeypatch.setattr(stability, "solve_R_equals", lambda m, w: solved.append(w) or real(m, w))
+    harness.run_stability_report([4, 5])
+    assert sum(np.ndim(w) == 0 and w == 1.0 for w in solved) == 2
 
 
 def test_cancellation_residual_small_odd_and_even():
