@@ -178,6 +178,11 @@ def _norm_name(name):
     return {"circle": "unit_circle", "lshape": "l_shape"}.get(s, s)
 
 
+# the names make_mesh and BemTransfer accept, after _norm_name
+_GEOMETRIES = ("unit_circle", "l_shape")
+_OPERATORS = ("inverse_single_layer", "exterior_dtn")
+
+
 def _largest_remainder(weights, n):
     raw = n * weights / weights.sum()
     base = np.floor(raw).astype(int)
@@ -193,12 +198,16 @@ def make_mesh(geometry, n):
     """Mesh the unit circle (n equal chords) or the L-shaped hexagon
     (panels allocated to sides proportionally to side length)."""
     g = _norm_name(geometry)
+    if g not in _GEOMETRIES:
+        raise ValueError("unknown geometry %r" % geometry)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError("the panel count must be an integer, got %r" % (n,))
     if n < 8:
         raise ValueError("need at least 8 panels, got %d" % n)
     if g == "unit_circle":
         th = 2.0 * np.pi * np.arange(n) / n
         verts = np.column_stack([np.cos(th), np.sin(th)])
-    elif g == "l_shape":
+    else:
         corners = _LSHAPE_CORNERS
         sides = np.roll(corners, -1, axis=0) - corners
         alloc = _largest_remainder(np.linalg.norm(sides, axis=1), n)
@@ -209,8 +218,6 @@ def make_mesh(geometry, n):
             t = np.arange(alloc[k])[:, None] / alloc[k]
             parts.append(corners[k] + t * sides[k])
         verts = np.vstack(parts)
-    else:
-        raise ValueError("unknown geometry %r" % geometry)
     idx = np.arange(len(verts))
     pan = np.column_stack([idx, (idx + 1) % len(verts)])
     return BoundaryMesh(kind=g, vertices=verts, panels=pan)
@@ -684,7 +691,7 @@ class BemTransfer:
 
     def __init__(self, mesh, operator):
         op = _norm_name(operator)
-        if op not in ("inverse_single_layer", "exterior_dtn"):
+        if op not in _OPERATORS:
             raise ValueError("unknown operator %r" % operator)
         self.mesh = mesh
         self.operator = op

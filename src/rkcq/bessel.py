@@ -1,44 +1,38 @@
 """Modified Bessel functions K0 and K1 for complex argument, Re z > 0.
 
-Three regimes, series / Taylor table / asymptotic, selected per entry so
-array evaluation stays vectorized (an array whose arguments all lie in one
-band of one regime goes to that band's kernel whole, without masks):
+Three regimes, each a set of bands of |z|, selected per entry so array
+evaluation stays vectorized (an array whose arguments all lie in one band
+goes to that band's kernel whole, without masks):
 
-* ascending power series where |z| + Re z <= 8.5, evaluated as four
-  Horner polynomials in q = z^2/4,
-* a table of Taylor expansions of K0 on the mid annulus, the remaining
-  arguments with |z| < 16.5: 0.5-wide square cells, centred at
-  Re zc = 0.25, 0.75, ... and Im zc = 0, 0.5, ..., cover 0 <= Re z < 17
-  and 0 <= Im z < 16.75; arguments below the real axis are folded onto
-  it by K(conj z) = conj K(z).  Each cell holds 18 Taylor coefficients
-  of K0 about its centre, one Horner pass in t = z - zc gives K0 and
-  K0', and K1 = -K0',
-* the large-argument asymptotic expansion for |z| >= 16.5, evaluated as
-  two Horner polynomials in w = 1/z.
+* the ascending power series for |z| <= 3, four Horner polynomials in
+  q = z^2/4,
+* for 3 < |z| < 16.5, a table of 18-term Taylor expansions of K0 about the
+  centres zc = (0.25, 0.75, ...) + i (0, 0.5, ...) of 0.5-wide square
+  cells covering 0 <= Re z < 17, 0 <= Im z < 16.75; one Horner pass in
+  t = z - zc gives K0 and K1 = -K0', and arguments below the real axis
+  are folded onto it by K(conj z) = conj K(z),
+* the large-argument asymptotic expansion for |z| >= 16.5, two Horner
+  polynomials in w = 1/z.
 
-Series and asymptotic sums run to a fixed depth per |z| band.  In every
+Series and asymptotic sums run to a fixed depth per band.  In every
 asymptotic band the term ratio (2k-1)^2/(8k|z|) stays below 1 up to the
 band's depth, so the fixed depth sums exactly the terms a smallest-term
-truncation would.  Their coefficient tables are built once, at import.
+truncation would.  Their coefficients are built at import, the Taylor
+table on first use: scipy.special.kv (D. E. Amos, "A portable package for
+Bessel functions of a complex argument", ACM TOMS 12, 1986) at each centre,
+the Bessel equation z^2 f'' + z f' - z^2 f = 0 for the higher terms by
+recurrence.  Real arguments sit on the centre line of a cell row and give
+real values.
 
-The Taylor table is built on first use.  scipy.special.kv (D. E. Amos, "A
-portable package for Bessel functions of a complex argument", ACM TOMS 12,
-1986) gives K0 and K1 at each centre, and the Bessel equation
-z^2 f'' + z f' - z^2 f = 0 gives the higher coefficients by recurrence.
-Every point of a cell lies within |t| <= 0.36 of its centre and every
-centre the annulus uses lies at |zc| >= 4, so the dropped terms sit below
-1e-18 of the sum.  Measured on the 3.0e6 mid-annulus arguments of a
-reduced table5 Gauss-3 cell (64-panel L-shape, N_ref 21, N_t 3 and 7),
-the table stays within 1.6e-15 (relative) of AMOS, and within 8e-16 of
-mpmath at the points where the two differ most.  Real arguments sit on
-the centre line of a cell row and give real values.
-
-Measured relative error against high-precision references is below 5e-13
-everywhere on Re z > 0, |z| <= 700; the worst case is the outer edge of
-the series regime, where K0 = B - L A cancels (5e-14 near the imaginary
-axis, up to 5e-13 near the real axis).  For
-Re z > 700 both functions underflow to exactly 0, which is harmless for
-exponentially decaying kernels.
+Measured against mpmath at 30 digits (relative): the series is within
+8.4e-14, its worst case at |z| = 3 near the real axis, where K0 = B - L A
+cancels (I0(3) = 4.9, K0(3) = 0.035); the table within 3.5e-15 just
+outside |z| = 3 (a cell's points lie within |t| <= 0.36 of its centre,
+and the nearest centre in use is 1.75 + 2i, |zc| = 2.66) and within
+8.9e-16 on random points of its annulus; the asymptotic bands within
+6.5e-16 on random points of 16.5 <= |z| <= 700.  For Re z > 700 both
+functions underflow to exactly 0, which is harmless for exponentially
+decaying kernels.
 """
 
 from functools import lru_cache, partial
@@ -52,7 +46,7 @@ _EULER_GAMMA = 0.5772156649015328606
 
 # truncation depths by |z| band: terms decay geometrically with ratio about
 # (2k-1)^2/(8k|z|), so larger arguments settle below 1e-16 in far fewer terms
-_SERIES_BANDS = ((2.0, 12), (5.0, 18), (np.inf, 26))
+_SERIES_BANDS = ((2.0, 12), (3.0, 18))
 _ASYM_BANDS = ((32.0, 30), (64.0, 19), (128.0, 12), (512.0, 9), (np.inf, 6))
 
 
@@ -105,7 +99,7 @@ def _horner(coef, x):
 
 def _series_k(z, orders, kmax):
     """Ascending series for K0 (orders 1) or K0, K1 (orders 2) to depth
-    kmax; accurate while |z| + Re z is moderate."""
+    kmax, for |z| <= 3."""
     sums = _horner(_SERIES_COEF[kmax][: 2 * orders], z * z / 4.0)
     lg = np.log(z) + (_EULER_GAMMA - np.log(2.0))
     k0 = sums[1] - lg * sums[0]
@@ -201,32 +195,18 @@ def _table_k(z, orders):
     return out
 
 
-# every band of the three regimes, in the order of _band's index: the
-# series bands by |z|, the Taylor table, the asymptotic bands by |z|
+# every band of the three regimes, in the order of band's index: the
+# series bands, the Taylor table, the asymptotic bands
 _BAND_KERNELS = (
     [partial(_series_k, kmax=kmax) for _, kmax in _SERIES_BANDS]
     + [_table_k]
     + [partial(_asym_k, terms=terms) for _, terms in _ASYM_BANDS]
 )
-# upper |z| edges of the bands of _BAND_KERNELS but the last: the series
-# bands end at 8.5 (a series argument has |z| <= |z| + Re z <= 8.5), the
-# table just below 16.5
-_EDGES = np.array([min(hi, 8.5) for hi, _ in _SERIES_BANDS] + [np.nextafter(16.5, 0.0)]
+# upper |z| edges of the bands of _BAND_KERNELS but the last (the table
+# ends just below 16.5): np.searchsorted(_EDGES, |z|) is the index of the
+# band lo < |z| <= hi
+_EDGES = np.array([hi for hi, _ in _SERIES_BANDS] + [np.nextafter(16.5, 0.0)]
                   + [hi for hi, _ in _ASYM_BANDS[:-1]])
-
-
-def _band(az, sz):
-    """Index into _BAND_KERNELS of the band that evaluates arguments with
-    |z| = az and |z| + Re z = sz.
-
-    Series where sz <= 8.5, asymptotic where az >= 16.5 (which implies
-    sz > 8.5 on Re z > 0), the table between; a band of a |z|-banded
-    regime holds lo < az <= hi.  A table argument is keyed to |z| raised to
-    8.75, past the series edges.  The index grows with az and with sz, so
-    arguments whose (min az, min sz) and (max az, max sz) fall in one band
-    all lie in it.
-    """
-    return np.searchsorted(_EDGES, np.where(sz <= 8.5, az, np.maximum(az, 8.75)))
 
 
 def band(z):
@@ -234,13 +214,12 @@ def band(z):
     where Re z > 700 and the values flush to 0.
 
     Arrays that hold one band's arguments only are evaluated without
-    masks.  For z = s r with r > 0 real, |z| and |z| + Re z grow with r, so
-    the arguments s r over r in [r0, r1] lie in one band when band(s r0)
+    masks.  Bands are intervals of |z|, and |s r| grows with r > 0, so the
+    arguments s r over r in [r0, r1] lie in one band when band(s r0)
     equals band(s r1) and is not -1.
     """
     z = np.asarray(z, dtype=complex)
-    az = np.abs(z)
-    return np.where(z.real > 700.0, -1, _band(az, az + z.real))
+    return np.where(z.real > 700.0, -1, np.searchsorted(_EDGES, np.abs(z)))
 
 
 def _bessel_k(z, orders):
@@ -260,12 +239,11 @@ def _bessel_k(z, orders):
     if np.any(re <= 0):
         raise ValueError("K0/K1 evaluation requires Re z > 0")
     az = np.abs(zf)
-    sz = az + re
-    b = int(_band(az.min(), sz.min())) if zf.size and re.max() <= 700.0 else -1
-    if b >= 0 and b == _band(az.max(), sz.max()):
-        out = _BAND_KERNELS[b](zf, orders)
+    lo, hi = np.searchsorted(_EDGES, [az.min(), az.max()]) if zf.size else (0, -1)
+    if lo == hi and re.max() <= 700.0:
+        out = _BAND_KERNELS[lo](zf, orders)
     else:
-        ids = np.where(re <= 700.0, _band(az, sz), -1)
+        ids = np.where(re <= 700.0, np.searchsorted(_EDGES, az), -1)
         out = [np.zeros_like(zf) for _ in range(orders)]
         for b, kernel in enumerate(_BAND_KERNELS):
             m = ids == b

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import stability
+from . import bem, stability
 from .bem import ScatteringProblem, error_metric, make_mesh, make_mode_transfer, make_transfer
 from .engine import (
     apply_cq,
@@ -53,15 +53,20 @@ __all__ = [
 
 
 _FAMILIES = {"gauss": gauss_tableau, "radau_iia": radau_iia_tableau, "radau": radau_iia_tableau}
+_EXPERIMENTS = ("scalar_convergence", "bem_convergence", "stability_report", "cancellation_table")
 
 
 def _tableau(family, m):
     return _FAMILIES[snake_name(family)](m)
 
 
+def _is_int(x):
+    # bool is an int subclass, but True is no count
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _is_stage_count(m):
-    # bool is an int subclass, but True is no stage count
-    return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 1 <= m <= 12
+    return _is_int(m) and 1 <= m <= 12
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ class ExperimentConfig:
         def bad(name, why):
             raise ValueError("config field %s=%r: %s" % (name, getattr(self, name), why))
 
+        if self.experiment not in _EXPERIMENTS:
+            bad("experiment", "unknown experiment, choose from %s" % ", ".join(_EXPERIMENTS))
         if snake_name(self.family) not in _FAMILIES:
             bad("family", "unknown tableau family, choose from %s" % ", ".join(_FAMILIES))
         if not _is_stage_count(self.m):
@@ -107,14 +114,23 @@ class ExperimentConfig:
             bad("mu", "must be finite")
         if not (0.0 < self.T < np.inf):
             bad("T", "the final time must be positive and finite")
-        if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
+        if not (_is_int(self.threads) and self.threads >= 1):
             bad("threads", "need at least one worker")
+        for name, known in (("geometry", bem._GEOMETRIES), ("operator", bem._OPERATORS)):
+            if bem._norm_name(getattr(self, name)) not in known:
+                bad(name, "unknown %s, choose from %s" % (name, ", ".join(known)))
+        if snake_name(self.datum) not in DATA:
+            bad("datum", "unknown datum, choose from %s" % ", ".join(DATA))
+        if not (_is_int(self.n_panels) and self.n_panels >= 8):
+            bad("n_panels", "the panel count must be an integer >= 8")
         if self.experiment in ("scalar_convergence", "bem_convergence"):
             if not self.N_list:
                 bad("N_list", "a convergence run needs at least one grid")
+            if not _is_int(self.N_ref):
+                bad("N_ref", "the reference grid size must be an integer")
             for N in self.N_list:
-                if not (1 <= N <= self.N_ref and self.N_ref % N == 0):
-                    bad("N_list", "N_t=%r does not divide N_ref=%r" % (N, self.N_ref))
+                if not (_is_int(N) and 1 <= N <= self.N_ref and self.N_ref % N == 0):
+                    bad("N_list", "N_t=%r is no integer that divides N_ref=%r" % (N, self.N_ref))
 
     @staticmethod
     def from_dict(d):
@@ -459,9 +475,7 @@ def _write_cell(out_dir, fname, label, report):
 def _run_cell(cfg, reference=None):
     if cfg.experiment == "scalar_convergence":
         return run_scalar_convergence(cfg)
-    if cfg.experiment == "bem_convergence":
-        return run_bem_convergence(cfg, reference=reference)
-    raise ValueError("unknown experiment %r" % cfg.experiment)
+    return run_bem_convergence(cfg, reference=reference)
 
 
 def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cache=None):
@@ -519,4 +533,3 @@ def run_config(cfg, out_dir):
         text = "m,residual\n" + "".join("%d,%.17e\n" % (m, r) for m, r in rows)
         _write_atomic(os.path.join(out_dir, "%s.csv" % label), text)
         return rows
-    raise ValueError("unknown experiment %r" % cfg.experiment)

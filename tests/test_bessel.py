@@ -17,7 +17,7 @@ def _mp_k0k1(z):
 
 def _in_table_regime(z):
     az = np.abs(z)
-    return (z.real > 0) & (az + z.real > 8.5) & (az < 16.5)
+    return (z.real > 0) & (az > 3.0) & (az < 16.5)
 
 
 def _assert_matches_mpmath(z, bound):
@@ -31,7 +31,7 @@ def _assert_matches_mpmath(z, bound):
 def _sample_points():
     # cover every internal switching radius from both sides, plus points
     # hugging the imaginary axis where cancellation is worst
-    radii = [0.05, 0.5, 1.9, 2.1, 4.9, 5.1, 8.0, 12.0, 16.0, 17.0,
+    radii = [0.05, 0.5, 1.9, 2.1, 2.9, 3.1, 8.0, 12.0, 16.0, 17.0,
              31.0, 33.0, 63.0, 65.0, 127.0, 129.0, 300.0, 511.0, 513.0, 650.0]
     args = [0.0, 0.3, 1.0, 1.45, 1.5699, -0.7, -1.5699]
     pts = []
@@ -139,27 +139,23 @@ def test_series_depths_cover_each_band():
     # series terms q^k / k!^2 (q = z^2/4) shrink once k^2 > |q|; at each
     # band's upper edge, the worst case, the terms are already shrinking
     # at the band's depth and the first dropped term is negligible
-    for hi, kmax in bessel._SERIES_BANDS:
-        r = min(hi, 8.5)  # the series regime ends at |z| + Re z = 8.5
+    for r, kmax in bessel._SERIES_BANDS:
         k = np.arange(kmax + 2)
         terms = np.exp(2 * k * np.log(r / 2.0) - 2 * sps.gammaln(k + 1.0))
-        assert (r / 2.0) ** 2 / (kmax + 1) ** 2 < 1.0, (hi, kmax)
-        assert terms[-1] < 1e-17 * terms.max(), (hi, kmax)
+        assert (r / 2.0) ** 2 / (kmax + 1) ** 2 < 1.0, (r, kmax)
+        assert terms[-1] < 1e-17 * terms.max(), (r, kmax)
 
 
-def test_regime_switches_near_the_imaginary_axis():
-    # both sides of the series / table switch (|z| + Re z = 8.5) and of the
-    # table / asymptotic switch (|z| = 16.5) where cancellation is worst
-    pts = []
-    for a in (1.55, -1.55):
-        r8 = 8.5 / (1.0 + np.cos(a))
-        for r in (0.99 * r8, 1.01 * r8, 16.4, 16.6):
-            pts.append(r * np.exp(1j * a))
-    z = np.array(pts)
-    az = np.abs(z)
-    assert np.count_nonzero(az + z.real <= 8.5) == 2
-    assert np.count_nonzero(az >= 16.5) == 2
-    _assert_matches_mpmath(z, 5e-12)
+def test_series_table_switch_at_every_angle():
+    # both sides of the series / table switch |z| = 3 at 401 angles across
+    # the right half-plane, the real axis included: the series cancels
+    # most there (K0 = B - L A, I0(3) = 4.9 against K0(3) = 0.035)
+    a = 0.5 * np.pi * np.arange(-200, 201) / 201.0
+    inner, outer = (r * np.exp(1j * a) for r in (3.0 - 1e-9, 3.0 + 1e-9))
+    assert np.all(np.abs(inner) <= 3.0) and np.all(_in_table_regime(outer))
+    assert 0.0 in a
+    _assert_matches_mpmath(inner, 1e-13)
+    _assert_matches_mpmath(outer, 5e-15)
 
 
 def test_table_against_high_precision_at_centres_edges_and_corners():
@@ -190,15 +186,12 @@ def test_table_is_exactly_conjugate_symmetric():
 
 
 def test_table_at_both_sides_of_its_switches():
-    # the table side of |z| + Re z = 8.5 and both sides of |z| = 16.5, at
-    # angles across the right half-plane and below the real axis; the series
-    # side of 8.5 cancels to about 5e-13 and is checked in
-    # test_regime_switches_near_the_imaginary_axis
+    # both sides of the table / asymptotic switch |z| = 16.5, at angles
+    # across the right half-plane and below the real axis; the switch at
+    # |z| = 3 is checked in test_series_table_switch_at_every_angle
     a = np.linspace(-1.5707, 1.5707, 23)
-    outer = 8.5 / (1.0 + np.cos(a)) * 1.0001
-    z = np.concatenate([outer * np.exp(1j * a), 16.4999 * np.exp(1j * a),
-                        16.5001 * np.exp(1j * a)])
-    assert np.count_nonzero(_in_table_regime(z)) == 46
+    z = np.concatenate([16.4999 * np.exp(1j * a), 16.5001 * np.exp(1j * a)])
+    assert np.count_nonzero(_in_table_regime(z)) == 23
     _assert_matches_mpmath(z, 5e-15)
 
 

@@ -160,6 +160,15 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("cancellation_table", (1,)),
     ("m", True),
     ("m_range", (True, 3)),
+    ("experiment", "typo"),
+    ("geometry", "triangle"),
+    ("operator", "hyper"),
+    ("datum", "nope"),
+    ("n_panels", 4),
+    ("n_panels", 64.5),
+    ("n_panels", True),
+    ("N_list", (8.0, 16)),
+    ("N_ref", 16.0),
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
