@@ -134,6 +134,11 @@ class BoundaryMesh:
             raise ValueError("degenerate panel of zero length")
         t = d / self.length[:, None]
         self.normal = np.column_stack([t[:, 1], -t[:, 0]])
+        if self.kind == "unit_circle":
+            n = len(self.panels)
+            if (self.vertices.shape != (n, 2) or not np.array_equal(self.panels, _ring(n))
+                    or np.abs(self.vertices - _circle_vertices(n)).max() > 1e-12):
+                raise ValueError("a unit_circle mesh must be the regular %d-gon of make_mesh" % n)
         self._gl = {}
         self._v1 = None
         self._plan = None
@@ -145,8 +150,9 @@ class BoundaryMesh:
     @property
     def circulant(self):
         """True when the mesh is rotation-invariant, so that V, Kd and M
-        are symmetric circulant (the unit circle): the predicate of the
-        per-Fourier-mode route."""
+        are symmetric circulant: the predicate of the per-Fourier-mode
+        route.  A "unit_circle" mesh is checked at construction to be the
+        regular n-gon of make_mesh."""
         return self.kind == "unit_circle"
 
     def gl_points(self, order=8):
@@ -205,8 +211,7 @@ def make_mesh(geometry, n):
     if n < 8:
         raise ValueError("need at least 8 panels, got %d" % n)
     if g == "unit_circle":
-        th = 2.0 * np.pi * np.arange(n) / n
-        verts = np.column_stack([np.cos(th), np.sin(th)])
+        verts = _circle_vertices(n)
     else:
         corners = _LSHAPE_CORNERS
         sides = np.roll(corners, -1, axis=0) - corners
@@ -218,9 +223,18 @@ def make_mesh(geometry, n):
             t = np.arange(alloc[k])[:, None] / alloc[k]
             parts.append(corners[k] + t * sides[k])
         verts = np.vstack(parts)
-    idx = np.arange(len(verts))
-    pan = np.column_stack([idx, (idx + 1) % len(verts)])
-    return BoundaryMesh(kind=g, vertices=verts, panels=pan)
+    return BoundaryMesh(kind=g, vertices=verts, panels=_ring(len(verts)))
+
+
+def _circle_vertices(n):
+    th = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(th), np.sin(th)])
+
+
+def _ring(n):
+    """Panels joining n vertices in order, the last back to the first."""
+    idx = np.arange(n)
+    return np.column_stack([idx, (idx + 1) % n])
 
 
 def mesh_to_json(mesh):
@@ -611,9 +625,9 @@ def _assemble(s, mesh, plan, with_kd=True):
     that use it.  V is v[..., plan.vmap] and Kd is kd[..., c, :] gathered
     through plan.kmap, kd[..., c, :] holding (Kd_rq, Kd_qr).  A
     frequency's values come from the same operations whatever the other
-    frequencies of s; only a different split of its pairs into chunks
-    changes the Bessel array sizes it sees, and with them possibly the
-    last bits.
+    frequencies of s, however they split its pairs into chunks: each
+    K0/K1 value depends on its argument alone, and each pair's values are
+    contracted on their own.
     """
     sv = np.asarray(s, dtype=complex)
     flat = sv.reshape(-1)

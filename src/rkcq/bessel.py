@@ -1,8 +1,9 @@
 """Modified Bessel functions K0 and K1 for complex argument, Re z > 0.
 
 Three regimes, each a set of bands of |z|, selected per entry so array
-evaluation stays vectorized (an array whose arguments all lie in one band
-goes to that band's kernel whole, without masks):
+evaluation stays vectorized (arrays are evaluated in fixed-size blocks, and
+a block whose arguments all lie in one band goes to that band's kernel
+whole, without masks):
 
 * the ascending power series for |z| <= 3, four Horner polynomials in
   q = z^2/4,
@@ -80,21 +81,14 @@ _SERIES_COEF = {kmax: _series_coefficients(kmax) for _, kmax in _SERIES_BANDS}
 _ASYM_COEF = {terms: _asym_coefficients(terms) for _, terms in _ASYM_BANDS}
 
 
-# arguments per Horner block: the (rows, block) accumulator stays in cache
-_BLOCK = 16384
-
-
 def _horner(coef, x):
     """Evaluate every row of coef as a polynomial in x (ascending powers)."""
-    out = np.empty((len(coef), x.size), dtype=complex)
-    for a in range(0, x.size, _BLOCK):
-        xb = x[a : a + _BLOCK]
-        p = out[:, a : a + _BLOCK]
-        p[:] = coef[:, -1:]
-        for c in coef[:, -2::-1].T:
-            p *= xb
-            p += c[:, None]
-    return out
+    p = np.empty((len(coef), x.size), dtype=complex)
+    p[:] = coef[:, -1:]
+    for c in coef[:, -2::-1].T:
+        p *= x
+        p += c[:, None]
+    return p
 
 
 def _series_k(z, orders, kmax):
@@ -118,11 +112,10 @@ def _asym_k(z, orders, terms):
 
 
 # Taylor table of the mid annulus: cells of width _CELL, _CELLS per axis,
-# _TERMS coefficients each, evaluated in blocks of _TABLE_BLOCK arguments
+# _TERMS coefficients each
 _CELL = 0.5
 _CELLS = 34
 _TERMS = 18
-_TABLE_BLOCK = 2048
 
 
 @lru_cache(maxsize=None)
@@ -170,29 +163,24 @@ def _table_k(z, orders):
     (_TERMS, block) gather); K0's operations do not depend on orders.
     """
     coef = _taylor_table()
-    out = [np.empty_like(z) for _ in range(orders)]
-    for a in range(0, z.size, _TABLE_BLOCK):
-        zb = z[a : a + _TABLE_BLOCK]
-        x, y = zb.real, np.abs(zb.imag)
-        ix = (x * (1.0 / _CELL)).astype(np.intp)
-        iy = (y * (1.0 / _CELL) + 0.5).astype(np.intp)
-        t = (x - (ix + 0.5) * _CELL) + 1j * (y - iy * _CELL)
-        cell = ix * _CELLS + iy
-        p = coef[-1].take(cell)
-        d = np.zeros_like(p) if orders == 2 else None
-        for row in coef[-2::-1]:
-            if d is not None:
-                d *= t
-                d += p
-            p *= t
-            p += row.take(cell)
-        below = zb.imag < 0
-        for k, val in zip(out, (p, d)):
-            np.conjugate(val, out=val, where=below)
-            k[a : a + _TABLE_BLOCK] = val
-    if orders == 2:
-        np.negative(out[1], out=out[1])
-    return out
+    x, y = z.real, np.abs(z.imag)
+    ix = (x * (1.0 / _CELL)).astype(np.intp)
+    iy = (y * (1.0 / _CELL) + 0.5).astype(np.intp)
+    t = (x - (ix + 0.5) * _CELL) + 1j * (y - iy * _CELL)
+    cell = ix * _CELLS + iy
+    p = coef[-1].take(cell)
+    d = np.zeros_like(p) if orders == 2 else None
+    for row in coef[-2::-1]:
+        if d is not None:
+            d *= t
+            d += p
+        p *= t
+        p += row.take(cell)
+    below = z.imag < 0
+    vals = (p,) if d is None else (p, np.negative(d, out=d))
+    for val in vals:
+        np.conjugate(val, out=val, where=below)
+    return vals
 
 
 # every band of the three regimes, in the order of band's index: the
@@ -213,7 +201,7 @@ def band(z):
     """Band of every argument (an index into the module's band list), -1
     where Re z > 700 and the values flush to 0.
 
-    Arrays that hold one band's arguments only are evaluated without
+    Blocks that hold one band's arguments only are evaluated without
     masks.  Bands are intervals of |z|, and |s r| grows with r > 0, so the
     arguments s r over r in [r0, r1] lie in one band when band(s r0)
     equals band(s r1) and is not -1.
@@ -222,34 +210,43 @@ def band(z):
     return np.where(z.real > 700.0, -1, np.searchsorted(_EDGES, np.abs(z)))
 
 
+# arguments per block of _bessel_k: every complex temporary of a block stays
+# below 256 KiB (16384 values), where numpy starts to elide temporaries into
+# in-place operations with the operands swapped
+_BLOCK = 16000
+
+
 def _bessel_k(z, orders):
     """K0 (orders 1) or K0 and K1 (orders 2) for Re z > 0, elementwise.
 
-    An array whose arguments all lie in one band (and all at Re z <= 700)
-    goes to that band's kernel whole, which gives the bits the split would
-    give; any other array is split by band, with zeros where Re z > 700.
-    Each K0 value is computed by the same operations whether or not K1 is
-    asked for.  numpy's complex arithmetic can round differently on arrays
-    of different sizes, so the last bits of a value may depend on the size
-    of the array (or band subset) its argument comes in.
+    The arguments go to the band kernels in blocks of _BLOCK: a block
+    whose arguments all lie in one band (and all at Re z <= 700) goes to
+    that band's kernel whole, any other block is split by band, with zeros
+    where Re z > 700.  A lone argument of a band is evaluated as a pair
+    (numpy rounds an in-place complex product of one element apart from
+    that of a longer array).  So every value depends on its argument
+    alone, not on the array it comes in, and each K0 value is computed by
+    the same operations whether or not K1 is asked for.
     """
     z = np.asarray(z, dtype=complex)
     zf = np.atleast_1d(z).ravel()
-    re = zf.real
-    if np.any(re <= 0):
+    if np.any(zf.real <= 0):
         raise ValueError("K0/K1 evaluation requires Re z > 0")
-    az = np.abs(zf)
-    lo, hi = np.searchsorted(_EDGES, [az.min(), az.max()]) if zf.size else (0, -1)
-    if lo == hi and re.max() <= 700.0:
-        out = _BAND_KERNELS[lo](zf, orders)
-    else:
-        ids = np.where(re <= 700.0, np.searchsorted(_EDGES, az), -1)
-        out = [np.zeros_like(zf) for _ in range(orders)]
-        for b, kernel in enumerate(_BAND_KERNELS):
-            m = ids == b
-            if m.any():
-                for k, val in zip(out, kernel(zf[m], orders)):
-                    k[m] = val
+    out = [np.zeros_like(zf) for _ in range(orders)]
+    for a in range(0, zf.size, _BLOCK):
+        zb = zf[a : a + _BLOCK]
+        az = np.abs(zb)
+        lo, hi = np.searchsorted(_EDGES, [az.min(), az.max()])
+        masks = {lo: slice(None)}
+        if lo != hi or zb.real.max() > 700.0:
+            ids = np.where(zb.real <= 700.0, np.searchsorted(_EDGES, az), -1)
+            masks = {b: ids == b for b in range(lo, hi + 1)}
+        for b, m in masks.items():
+            zm = zb[m]
+            if zm.size:
+                vals = _BAND_KERNELS[b](zm if zm.size > 1 else np.repeat(zm, 2), orders)
+                for k, val in zip(out, vals):
+                    k[a : a + _BLOCK][m] = val[: zm.size]
     if z.ndim == 0:
         return tuple(complex(k[0]) for k in out)
     return tuple(k.reshape(z.shape) for k in out)

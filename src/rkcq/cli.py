@@ -14,7 +14,7 @@ _TABLES = ("table1", "table2", "table3", "table4", "table5")
 def _add_common(p):
     p.add_argument("--out", default="cq_out", help="output directory (default: cq_out)")
     p.add_argument("--threads", type=int, default=None,
-                   help="frequency-loop worker processes (default: serial)")
+                   help="worker processes evaluating the kernel on the contour (default: serial)")
     p.add_argument("--weights-cache", default=None,
                    help="directory for reusable weight-set artifacts")
     p.add_argument("--panels", type=int, default=None,

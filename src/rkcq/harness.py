@@ -32,6 +32,7 @@ from .engine import (
 )
 from .kernels import DATA, kmu_transfer, sin_pow_exp, snake_name
 from .tableaux import (
+    _MAX_STAGES,
     gauss_tableau,
     radau_iia_tableau,
     tableau_to_json,
@@ -99,10 +100,11 @@ class ExperimentConfig:
 
         if self.experiment not in _EXPERIMENTS:
             bad("experiment", "unknown experiment, choose from %s" % ", ".join(_EXPERIMENTS))
-        if snake_name(self.family) not in _FAMILIES:
+        tableau = _FAMILIES.get(snake_name(self.family))
+        if tableau is None:
             bad("family", "unknown tableau family, choose from %s" % ", ".join(_FAMILIES))
-        if not _is_stage_count(self.m):
-            bad("m", "the stage count must be an integer in [1, 12]")
+        if not (_is_int(self.m) and 1 <= self.m <= _MAX_STAGES[tableau]):
+            bad("m", "the stage count must be an integer in [1, %d]" % _MAX_STAGES[tableau])
         if not all(_is_stage_count(m) for m in self.m_range):
             bad("m_range", "stage counts must be integers in [1, 12]")
         low = {"stability_report": 1, "cancellation_table": 2}.get(self.experiment)

@@ -136,8 +136,8 @@ def _collocation_A(c):
 
 def gauss_tableau(m):
     """m-stage Gauss collocation tableau: classical order 2m, stage order m."""
-    if not 1 <= m <= 12:
-        raise ValueError("stage count m must be in 1..12")
+    if not 1 <= m <= _MAX_STAGES[gauss_tableau]:
+        raise ValueError("stage count m must be in 1..%d" % _MAX_STAGES[gauss_tableau])
     x = _gauss_nodes(m)
     c = (x + 1.0) / 2.0
     _, dp = _legendre(m, x)
@@ -147,14 +147,18 @@ def gauss_tableau(m):
 
 def radau_iia_tableau(m):
     """m-stage Radau IIA tableau: classical order 2m-1, stage order m, c_m = 1."""
-    if not 1 <= m <= 8:
-        raise ValueError("stage count m must be in 1..8")
+    if not 1 <= m <= _MAX_STAGES[radau_iia_tableau]:
+        raise ValueError("stage count m must be in 1..%d" % _MAX_STAGES[radau_iia_tableau])
     x = _radau_nodes(m)
     c = (x + 1.0) / 2.0
     c[-1] = 1.0
     xg, wg = np.polynomial.legendre.leggauss(m)
     b = (0.5 * wg) @ _lagrange_values(c, 0.5 * (xg + 1.0))
     return ButcherTableau("radau_iia", m, _collocation_A(c), b, c, 2 * m - 1, m)
+
+
+# the largest stage count of each family's tableau
+_MAX_STAGES = {gauss_tableau: 12, radau_iia_tableau: 8}
 
 
 def stability_eval(tab, z):

@@ -1,7 +1,7 @@
 import numpy as np
 import pickle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkcq import bem
@@ -63,6 +63,27 @@ def test_mesh_json_roundtrip():
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.panels, mesh.panels)
     assert np.array_equal(back.mid, mesh.mid)
+
+
+def test_unit_circle_kind_requires_the_regular_polygon():
+    # the per-mode route trusts a "unit_circle" mesh to be circulant, so a
+    # mesh under that label with other vertices is refused at construction
+    lshape = bem.make_mesh("l_shape", 32)
+    with pytest.raises(ValueError, match="regular 32-gon"):
+        bem.BoundaryMesh(kind="unit_circle", vertices=lshape.vertices, panels=lshape.panels)
+    edited = bem.mesh_to_json(lshape).replace('"l_shape"', '"unit_circle"')
+    assert '"unit_circle"' in edited
+    with pytest.raises(ValueError, match="regular 32-gon"):
+        bem.mesh_from_json(edited)
+    circle = bem.make_mesh("unit_circle", 32)
+    back = bem.mesh_from_json(bem.mesh_to_json(circle))
+    assert back.circulant and np.array_equal(back.vertices, circle.vertices)
+    with pytest.raises(ValueError):
+        bem.BoundaryMesh(kind="unit_circle", vertices=circle.vertices * 1.001,
+                         panels=circle.panels)
+    with pytest.raises(ValueError):
+        bem.BoundaryMesh(kind="unit_circle", vertices=circle.vertices,
+                         panels=circle.panels[:, ::-1])
 
 
 def test_degenerate_panel_rejected():
@@ -156,6 +177,48 @@ def test_frequency_batch_assembles_each_frequency_as_alone(key, s, dups):
         for op in ("inverse_single_layer", "exterior_dtn"):
             tf = bem.BemTransfer(mesh, op)
             assert np.array_equal(tf.symbol(s), [tf.symbol(sk) for sk in s]), op
+
+
+# up to |s| = 2500: on the 32-panel L-shape more far pairs than one chunk
+# holds (217 at order 48) take the top order there
+_WIDE_FREQUENCY = st.builds(complex, st.floats(0.05, 50.0), st.floats(-2500.0, 2500.0))
+# 0.5 + 2000i alone takes 217 far pairs at order 48, one chunk; beside
+# 0.5 - 2500i (which needs 5 more) its pairs are split 216 + 1
+_CHUNK_SPLIT = [(0.5 + 2000j, 0), (0.5 - 2500j, 0), (20.0 + 40j, 1)]
+
+
+def _chunk_sizes(s, mesh):
+    """Per frequency of s, the number of pairs it takes from each rule of
+    bem._rules, in order."""
+    sizes = [[] for _ in s]
+    for classes, _, uses in bem._rules(np.asarray(s, dtype=complex), mesh,
+                                       mesh.pair_plan(), False):
+        for f, sel in uses:
+            sizes[f].append(classes[sel].size)
+    return sizes
+
+
+def test_the_pinned_split_changes_far_chunk_sizes():
+    mesh = _MESHES[("l_shape", 32)]
+    s = [sk for sk, part in _CHUNK_SPLIT if part == 0]
+    assert _chunk_sizes(s, mesh)[0] != _chunk_sizes(s[:1], mesh)[0]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(draw=st.lists(st.tuples(_WIDE_FREQUENCY, st.integers(0, 2)), min_size=2, max_size=4))
+@example(draw=_CHUNK_SPLIT)
+def test_any_split_of_a_frequency_array_assembles_each_frequency_as_alone(draw):
+    # the frequencies go to assemble_pair in the parts a random split
+    # gives; each frequency's matrices equal those of assembling it alone,
+    # also where the split changes how its far pairs are chunked
+    mesh = _MESHES[("l_shape", 32)]
+    s = np.array([sk for sk, _ in draw])
+    part = np.array([k for _, k in draw])
+    alone = [bem.assemble_pair(sk, mesh) for sk in s]
+    for k in np.unique(part):
+        V, K = bem.assemble_pair(s[part == k], mesh)
+        for f, Vf, Kf in zip(np.flatnonzero(part == k), V, K):
+            assert np.array_equal(Vf, alone[f][0]) and np.array_equal(Kf, alone[f][1]), s[f]
 
 
 def test_mode_transfer_metadata():

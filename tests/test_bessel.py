@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkcq import bessel
 from rkcq.bessel import bessel_k0, bessel_k1, k0k1
@@ -198,19 +200,20 @@ def test_table_at_both_sides_of_its_switches():
 def test_bessel_k0_equals_k0k1_in_the_table_regime():
     # more than one evaluation block, arguments on both sides of the real axis
     rng = np.random.default_rng(12)
-    z = rng.uniform(0.0, 16.5, 12000) + 1j * rng.uniform(-16.5, 16.5, 12000)
+    z = rng.uniform(0.0, 16.5, 50000) + 1j * rng.uniform(-16.5, 16.5, 50000)
     z = z[_in_table_regime(z)]
-    assert z.size > 2 * bessel._TABLE_BLOCK
+    assert z.size > 2 * bessel._BLOCK
     assert np.array_equal(bessel_k0(z), k0k1(z)[0])
 
 
 def test_one_band_arrays_skip_the_masks_and_keep_their_values(monkeypatch):
-    # an array whose arguments all lie in one series, table or asymptotic
-    # band goes to that band's kernel whole; its values equal, bit for bit,
-    # those of the same arguments inside an array that mixes every band
+    # a block whose arguments all lie in one series, table or asymptotic
+    # band goes to that band's kernel whole, one call per block of at most
+    # _BLOCK arguments; its values equal, bit for bit, those of the same
+    # arguments inside an array that mixes every band
     rng = np.random.default_rng(21)
-    z = np.exp(rng.uniform(np.log(0.01), np.log(3000.0), 40000)) * np.exp(
-        1j * rng.uniform(-1.55, 1.55, 40000))
+    z = np.exp(rng.uniform(np.log(0.01), np.log(3000.0), 120000)) * np.exp(
+        1j * rng.uniform(-1.55, 1.55, 120000))
     ids = bessel.band(z)
     k0, k1 = k0k1(z)
     k0_only = bessel_k0(z)
@@ -219,19 +222,24 @@ def test_one_band_arrays_skip_the_masks_and_keep_their_values(monkeypatch):
 
     def spy(b):
         def kernel(zb, orders):
+            assert zb.size <= bessel._BLOCK and np.all(bessel.band(zb) == b)
             calls.append((b, zb.size))
             return kernels[b](zb, orders)
         return kernel
 
     monkeypatch.setattr(bessel, "_BAND_KERNELS", [spy(b) for b in range(len(kernels))])
+    blocks = 0
     for b in range(len(kernels)):
         one = ids == b
         assert one.sum() > 100, b
         calls.clear()
         got0, got1 = k0k1(z[one])
-        assert calls == [(b, one.sum())]
+        starts = range(0, one.sum(), bessel._BLOCK)
+        assert calls == [(b, min(bessel._BLOCK, one.sum() - a)) for a in starts]
+        blocks += len(starts)
         assert np.array_equal(got0, k0[one]) and np.array_equal(got1, k1[one]), b
         assert np.array_equal(bessel_k0(z[one]), k0_only[one]), b
+    assert blocks > len(kernels)
     # past Re z = 700 the values still flush to exact zeros, alone or mixed
     dead = ids == -1
     assert dead.sum() > 100
@@ -242,3 +250,36 @@ def test_one_band_arrays_skip_the_masks_and_keep_their_values(monkeypatch):
         assert not bessel_k0(zd)[: dead.sum()].any()
         assert all(size < zd.size for _, size in calls)
     assert np.array_equal(k0[dead], np.zeros(dead.sum()))
+
+
+# arguments of every band, the top one kept below Re z = 700, and band -1
+# for arrays that mix every band and the Re z > 700 flush
+_RADII = [0.01] + bessel._EDGES.tolist() + [700.0]
+_SIZES = (1, 2, bessel._BLOCK - 1, bessel._BLOCK, bessel._BLOCK + 1, 33000)
+
+
+@pytest.mark.parametrize("b", range(-1, len(bessel._BAND_KERNELS)))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 7000))
+def test_values_do_not_depend_on_the_array_size(b, seed, start):
+    # a value depends on its argument alone: the arguments of a slice of
+    # any size, a lone one included, get the bits they get inside a longer
+    # array, from k0k1 and from bessel_k0 alike
+    rng = np.random.default_rng(seed)
+    n = _SIZES[-1] + 7000
+    if b < 0:
+        r = np.exp(rng.uniform(np.log(0.01), np.log(3000.0), n))
+    else:
+        r = rng.uniform(_RADII[b], _RADII[b + 1], n)
+    z = r * np.exp(1j * rng.uniform(-1.5699, 1.5699, n))
+    bands = {b} if b >= 0 else set(range(-1, len(bessel._BAND_KERNELS)))
+    assert set(bessel.band(z).tolist()) == bands
+    k0, k1 = k0k1(z)
+    assert np.array_equal(bessel_k0(z), k0)
+    for size in _SIZES:
+        part = slice(start, start + size)
+        got0, got1 = k0k1(z[part])
+        assert np.array_equal(got0, k0[part]) and np.array_equal(got1, k1[part]), size
+        assert np.array_equal(bessel_k0(z[part]), k0[part]), size
+    assert k0k1(z[start]) == (k0[start], k1[start])
+    assert bessel_k0(z[start]) == k0[start]

@@ -169,15 +169,21 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("n_panels", True),
     ("N_list", (8.0, 16)),
     ("N_ref", 16.0),
+    ("radau_iia", 10),
+    ("radau_iia", 9),
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
     # in well under 0.1 s and with the field named in the message; an
-    # experiment name in place of the field sets that experiment's m_range
+    # experiment name in place of the field sets that experiment's m_range,
+    # a family name that family's m
     base = _GOOD
     if field in ("stability_report", "cancellation_table"):
         base = dict(experiment=field)
         field = "m_range"
+    if field == "radau_iia":
+        base = dict(_GOOD, family=field)
+        field = "m"
     good = ExperimentConfig(**base)
     for make in (lambda: ExperimentConfig(**dict(base, **{field: value})),
                  lambda: ExperimentConfig.from_dict(dict(base, **{field: value})),
