@@ -26,10 +26,11 @@ transfer operator's eigenvalues on the real-FFT lanes.
 Assembly takes an array of frequencies in one pass over the pair plan.
 Each rule's s-independent geometry (distances, weight products and the
 double layer's normal factors, _tensor_rule) is built once and serves
-every frequency that needs that rule.  For each frequency, the pairs are
-grouped by the rkcq.bessel band that holds their whole distance range, so
-K0/K1 run without regime masks, and one batched real matmul contracts the
-values with the weights.
+every frequency that needs that rule.  For each frequency, a rule's
+arguments s R go to K0/K1 in one call, which splits them by band
+(rkcq.bessel); far pairs are stored nearest first, so a block of them spans
+a short range of |s| r.  One batched real matmul contracts the values with
+the weights.
 """
 
 import json
@@ -39,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bessel import band, bessel_k0, k0k1
+from .bessel import bessel_k0, k0k1
 from .engine import _BLOCK, TransferFunction
 from .kernels import snake_name
 
@@ -444,8 +445,9 @@ class _PairPlan:
     computed once per frequency, on its representative (r, q), as V_rq,
     Kd_rq and Kd_qr, and every matrix entry is gathered from them through
     vmap and kmap.  The classes split by kind into the diagonal (panel
-    lengths), touching pairs (_touching_geometry) and far pairs (r-bounds
-    and the effective length that sets the quadrature order).
+    lengths), touching pairs (_touching_geometry) and far pairs (minimum
+    distance and the effective length that sets the quadrature order),
+    stored nearest first.
     """
 
     def __init__(self, mesh, vmap, kmap):
@@ -456,21 +458,23 @@ class _PairPlan:
         self.vmap, self.kmap, self.size = vmap, kmap, first.size
         diag = ri == rj
         touch = (rj - ri == 1) | ((ri == 0) & (rj == n - 1))
-        far = ~(diag | touch)
+        far = np.flatnonzero(~(diag | touch))
         self.diag = np.flatnonzero(diag)
         self.diag_length = mesh.length[ri[diag]]
         self.touch = np.flatnonzero(touch)
         self.touch_geometry = _touching_geometry(mesh, ri[touch], rj[touch])
-        self.far = np.flatnonzero(far)
-        self.far_i, self.far_j = ri[far], rj[far]
-        rmin, rmax = _pair_r_bounds(mesh, self.far_i, self.far_j)
+        rmin, rmax = _pair_r_bounds(mesh, ri[far], rj[far])
+        # nearest first: a chunk of far pairs then spans a short range of
+        # |s| r at every frequency, so K0/K1 blocks mostly lie in one band
+        order = np.argsort(rmin, kind="stable")
+        self.far, self.rmin, rmax = far[order], rmin[order], rmax[order]
+        self.far_i, self.far_j = ri[self.far], rj[self.far]
         lmax = np.maximum(mesh.length[self.far_i], mesh.length[self.far_j])
-        self.rmin = rmin
         # the kernel phase along one panel varies with r, whose total
         # variation at fixed y is bounded both by the panel length and by
         # twice the pair's radial spread, so pairs that face each other
         # broadside resolve with far fewer points than end-on ones
-        self.leff = np.minimum(lmax, 2.0 * (rmax - rmin))
+        self.leff = np.minimum(lmax, 2.0 * (rmax - self.rmin))
 
 
 class _TensorRule(NamedTuple):
@@ -479,15 +483,12 @@ class _TensorRule(NamedTuple):
 
     R is |y - x| (p, g h); A holds the weights w_x w_y (p, 1, g h); D the
     weights of Kd_ij and Kd_ji (p, 2, g h), A n_j.(y - x)/R and
-    -A n_i.(y - x)/R, or None when Kd is not needed; rmin and rmax are the
-    (p,) extremes of R.
+    -A n_i.(y - x)/R, or None when Kd is not needed.
     """
 
     R: np.ndarray
     A: np.ndarray
     D: Optional[np.ndarray]
-    rmin: np.ndarray
-    rmax: np.ndarray
 
 
 def _tensor_rule(Pi, Wi, Pj, Wj, ni, nj, with_kd):
@@ -509,47 +510,19 @@ def _tensor_rule(Pi, Wi, Pj, Wj, ni, nj, with_kd):
         for k, nrm in enumerate((nj, -ni)):
             D[:, k] = (dx * nrm[:, 0, None, None] + dy * nrm[:, 1, None, None]) * A / R
         D = D.reshape(p, 2, -1)
-    R = R.reshape(p, -1)
-    return _TensorRule(R, A.reshape(p, 1, -1), D, R.min(axis=1), R.max(axis=1))
-
-
-# band id of the pairs whose r-range crosses a Bessel band edge, and the
-# points below which a band group joins them: a kernel call has a fixed cost
-# of about 200 us (one numpy pass per series or Horner term), as much as the
-# masks of several thousand arguments, so a smaller group gains nothing
-# from running alone
-_MIXED = -2
-_MIN_GROUP = 16384
+    return _TensorRule(R.reshape(p, -1), A.reshape(p, 1, -1), D)
 
 
 def _rule_values(s, rule, sel, with_kd):
     """V and (with_kd) (Kd_ij, Kd_ji) of the rule's pairs sel at frequency s.
 
-    The pairs are grouped by the rkcq.bessel band that holds all of
-    s [rmin, rmax]; pairs that cross a band edge, and groups of fewer than
-    _MIN_GROUP points, form one more group.  Each group takes one k0k1 (or
-    bessel_k0) call, which evaluates a one-band array without masks, and
-    one batched real matmul per output contracts the values, viewed as
-    float pairs, with the rule's weights.  Returns the (q,) values of V and
-    the (q, 2) values of Kd, None without with_kd.
+    The arguments s R take one k0k1 (or bessel_k0) call, which splits them
+    by band (rkcq.bessel), and one batched real matmul per output contracts
+    the values, viewed as float pairs, with the rule's weights.  Returns
+    the (q,) values of V and the (q, 2) values of Kd, None without with_kd.
     """
-    R = rule.R[sel]
-    lo, hi = band(s * np.stack([rule.rmin[sel], rule.rmax[sel]]))
-    ids = np.where(lo == hi, lo, _MIXED)
-    groups, counts = np.unique(ids, return_counts=True)
-    small = counts * R.shape[1] < _MIN_GROUP
-    if small.any():
-        ids[np.isin(ids, groups[small])] = _MIXED
-        groups = np.unique(ids)
-    kernel = k0k1 if with_kd else (lambda z: (bessel_k0(z),))
-    if groups.size == 1:
-        vals = kernel(s * R)
-    else:
-        vals = [np.empty(R.shape, dtype=complex) for _ in range(1 + with_kd)]
-        for g in groups:
-            m = ids == g
-            for out, val in zip(vals, kernel(s * R[m])):
-                out[m] = val
+    z = s * rule.R[sel]
+    vals = k0k1(z) if with_kd else (bessel_k0(z),)
 
     def contract(W, val):
         q, G = val.shape
@@ -582,8 +555,8 @@ def _rules(s, mesh, plan, with_kd):
     Kd entries by up to 1.2e-7 relative).  The far classes follow, grouped
     by Gauss-Legendre order, rounded up to even to halve the mesh's cache
     of panel points: for each order, the pairs that any frequency needs at
-    it, in chunks.  A frequency leaves out the pairs beyond its dead
-    exponent, which keep their zeros.
+    it, in chunks, nearest first.  A frequency leaves out the pairs beyond
+    its dead exponent, which keep their zeros.
     """
     vx, fi, fj, ni, nj, li, lj = plan.touch_geometry
     lmax = max(li.max(), lj.max())

@@ -201,10 +201,9 @@ def band(z):
     """Band of every argument (an index into the module's band list), -1
     where Re z > 700 and the values flush to 0.
 
-    Blocks that hold one band's arguments only are evaluated without
-    masks.  Bands are intervals of |z|, and |s r| grows with r > 0, so the
-    arguments s r over r in [r0, r1] lie in one band when band(s r0)
-    equals band(s r1) and is not -1.
+    Bands are intervals of |z|.  _bessel_k splits each block of arguments
+    by band, and a block that holds one band's arguments only goes to that
+    band's kernel without masks.
     """
     z = np.asarray(z, dtype=complex)
     return np.where(z.real > 700.0, -1, np.searchsorted(_EDGES, np.abs(z)))

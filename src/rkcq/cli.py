@@ -6,7 +6,8 @@ import json
 import os
 import sys
 
-from .harness import ExperimentConfig, _write_atomic, run_config, run_stability_report, run_table
+from .harness import (ExperimentConfig, _is_stage_count, _write_atomic, run_config,
+                      run_stability_report, run_table)
 
 _TABLES = ("table1", "table2", "table3", "table4", "table5")
 
@@ -24,10 +25,19 @@ def _add_common(p):
 
 
 def _parse_m_range(text):
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(","))
+    """The argparse type of --m-range: "lo-hi" or "a,b,c", each a stage
+    count in [1, 12], at least one."""
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = text.split("-")
+            m_range = tuple(range(int(lo), int(hi) + 1))
+        else:
+            m_range = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected lo-hi or a,b,c, got %r" % text)
+    if not (m_range and all(_is_stage_count(m) for m in m_range)):
+        raise argparse.ArgumentTypeError("need stage counts in [1, 12], got %r" % text)
+    return m_range
 
 
 def main(argv=None):
@@ -46,7 +56,7 @@ def main(argv=None):
         _add_common(p_t)
 
     p_st = sub.add_parser("stability-report", help="emit the stability JSON report")
-    p_st.add_argument("--m-range", default="1-12",
+    p_st.add_argument("--m-range", type=_parse_m_range, default="1-12",
                       help="stage counts, e.g. 1-12 or 2,3,5 (default: 1-12)")
     p_st.add_argument("--out", default=None,
                       help="write JSON to DIR/stability_report.json instead of stdout")
@@ -54,7 +64,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.cmd == "stability-report":
-        report = run_stability_report(_parse_m_range(args.m_range))
+        report = run_stability_report(args.m_range)
         text = json.dumps(report, indent=2)
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -70,6 +70,11 @@ def _is_stage_count(m):
     return _is_int(m) and 1 <= m <= 12
 
 
+# a label names the run's output files inside out_dir, so it holds no path
+# separator
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell; JSON configs mirror these fields exactly."""
@@ -125,6 +130,9 @@ class ExperimentConfig:
             bad("datum", "unknown datum, choose from %s" % ", ".join(DATA))
         if not (_is_int(self.n_panels) and self.n_panels >= 8):
             bad("n_panels", "the panel count must be an integer >= 8")
+        if self.label is not None and not (isinstance(self.label, str)
+                                           and _LABEL.fullmatch(self.label)):
+            bad("label", "a file-name stem of letters, digits, '_', '.' and '-'")
         if self.experiment in ("scalar_convergence", "bem_convergence"):
             if not self.N_list:
                 bad("N_list", "a convergence run needs at least one grid")
@@ -384,8 +392,8 @@ def run_stability_report(m_range=tuple(range(1, 13))):
     """JSON-ready stability report: roots, slopes, escape constants,
     tableau checks and cancellation residuals for each stage count."""
     m_range = tuple(m_range)
-    if not all(_is_stage_count(m) for m in m_range):
-        raise ValueError("m_range must hold integers in [1, 12], got %r" % (m_range,))
+    if not (m_range and all(_is_stage_count(m) for m in m_range)):
+        raise ValueError("m_range must hold one or more integers in [1, 12], got %r" % (m_range,))
     report = {"m_values": list(m_range), "per_m": {}}
     for m in m_range:
         tab = gauss_tableau(m)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pickle
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkcq import bem
-from rkcq.bessel import bessel_k0, bessel_k1, k0k1
+from rkcq.bessel import band, bessel_k0, bessel_k1, k0k1
 
 
 def test_circle_mesh_geometry():
@@ -277,6 +279,64 @@ def test_far_pair_straddling_the_dead_cut(kind):
     for A, B in ((V1, V2), (K1, K2), (K1.T, K2.T)):
         assert np.isfinite(A[i, j]).all()
         assert np.abs(A[i, j] - B[i, j]).max() <= 1e-13 * np.abs(B).max()
+
+
+# from s = 1 to 0.5 - 2500i, where far pairs take the top order
+_ORDER_FREQUENCIES = np.array([1.0, 2.0 + 5.0j, 0.3 - 17.0j, 40.0 + 3.0j, 20.0 + 400.0j,
+                               0.5 - 2500.0j])
+
+
+@pytest.mark.parametrize("kind", ["unit_circle", "l_shape"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_far_pair_order_does_not_change_a_bit(kind, seed):
+    # the plan stores its far classes nearest first; any other order of
+    # them gives the same V and Kd bit for bit, since each K0/K1 value
+    # depends on its argument alone and each pair is contracted on its own
+    mesh = _MESHES[(kind, 32)]
+    plan = mesh.pair_plan()
+    assert np.all(np.diff(plan.rmin) >= 0.0)
+    perm = np.random.default_rng(seed).permutation(plan.far.size)
+    shuffled = copy.copy(plan)
+    for name in ("far", "far_i", "far_j", "rmin", "leff"):
+        setattr(shuffled, name, getattr(plan, name)[perm])
+    V, K = bem.assemble_pair(_ORDER_FREQUENCIES, mesh)
+    v, kd = bem._assemble(_ORDER_FREQUENCIES, mesh, shuffled)
+    assert np.array_equal(v[:, plan.vmap], V)
+    assert np.array_equal(kd.reshape(v.shape[:-1] + (-1,))[:, plan.kmap], K)
+
+
+@pytest.mark.parametrize("with_kd", [True, False])
+def test_each_rule_use_makes_one_kernel_call(monkeypatch, with_kd):
+    # rkcq.bessel alone splits arguments by band: each _rule_values call
+    # hands all its arguments to one k0k1 (or bessel_k0) call, also when
+    # they span several bands
+    mesh = _MESHES[("l_shape", 32)]
+    # per _rule_values call, the number of bands in each kernel call
+    seen, uses = [], []
+
+    def counted(fn):
+        def wrapped(z):
+            seen.append(np.unique(band(z)).size)
+            return fn(z)
+        return wrapped
+
+    def rule_values(*args):
+        seen.clear()
+        out = real(*args)
+        uses.append(list(seen))
+        return out
+
+    real = bem._rule_values
+    monkeypatch.setattr(bem, "_rule_values", rule_values)
+    monkeypatch.setattr(bem, "k0k1", counted(bem.k0k1))
+    monkeypatch.setattr(bem, "bessel_k0", counted(bem.bessel_k0))
+    s = np.array([2.0 + 5.0j, 20.0 + 400.0j, 0.5 - 2500.0j])
+    if with_kd:
+        bem.assemble_pair(s, mesh)
+    else:
+        bem.assemble_V(s, mesh)
+    assert uses and all(len(u) == 1 for u in uses)
+    assert max(u[0] for u in uses) >= 3
 
 
 def test_pair_plan_class_counts():

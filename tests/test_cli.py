@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from rkcq import cli
 from rkcq.harness import run_stability_report
 
@@ -12,6 +14,22 @@ def test_stability_report_out_writes_one_complete_file(tmp_path, capsys):
     text = (out / "stability_report.json").read_text()
     assert text == json.dumps(run_stability_report((1, 2, 3)), indent=2) + "\n"
     assert capsys.readouterr().out.strip() == str(out / "stability_report.json")
+
+
+@pytest.mark.parametrize("text", ["5-3", "0-2", "1-13", "1-x", "1-2-3", "", "2,,3", "0,3"])
+def test_stability_report_rejects_bad_m_range_as_usage_error(text, capsys):
+    # an empty, malformed or out-of-range --m-range exits 2 with argparse's
+    # usage message before any report work, not with [] or a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stability-report", "--m-range", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--m-range" in err
+
+
+def test_stability_report_rejects_empty_m_range():
+    with pytest.raises(ValueError, match="m_range"):
+        run_stability_report(())
 
 
 def test_run_applies_overrides(tmp_path, capsys):

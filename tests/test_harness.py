@@ -171,6 +171,8 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("N_ref", 16.0),
     ("radau_iia", 10),
     ("radau_iia", 9),
+    ("label", "../escaped"),
+    ("label", "sub/x"),
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
