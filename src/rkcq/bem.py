@@ -114,7 +114,11 @@ def _graded_rule(orders):
 
 @dataclass(eq=False)
 class BoundaryMesh:
-    """Closed positively oriented polygonal curve, one dof per panel."""
+    """Closed positively oriented polygonal curve, one dof per panel.
+
+    Construction checks that panel k ends where panel k + 1 starts (the
+    last where the first starts) and that the signed area is positive.
+    """
 
     kind: str
     vertices: np.ndarray
@@ -126,6 +130,10 @@ class BoundaryMesh:
     normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        gap = np.flatnonzero(self.panels[:, 1] != np.roll(self.panels[:, 0], -1))
+        if gap.size:
+            raise ValueError("panels must form one closed ring, panel k ending where panel "
+                             "k + 1 starts; panel %d does not" % gap[0])
         self.a = self.vertices[self.panels[:, 0]]
         self.b = self.vertices[self.panels[:, 1]]
         self.mid = (self.a + self.b) / 2.0
@@ -133,6 +141,10 @@ class BoundaryMesh:
         self.length = np.linalg.norm(d, axis=1)
         if np.any(self.length <= 0):
             raise ValueError("degenerate panel of zero length")
+        area = 0.5 * np.sum(self.a[:, 0] * self.b[:, 1] - self.b[:, 0] * self.a[:, 1])
+        if not area > 0:
+            raise ValueError("the curve must be positively oriented (counterclockwise), "
+                             "got signed area %g" % area)
         t = d / self.length[:, None]
         self.normal = np.column_stack([t[:, 1], -t[:, 0]])
         if self.kind == "unit_circle":
@@ -385,13 +397,10 @@ def _congruence_maps(mesh):
 
 def _touching_geometry(mesh, i, j):
     """Shared vertex v, far ends fi and fj, normals ni and nj and the
-    lengths of the touching pairs (i, j)."""
-    fwd = np.all(np.abs(mesh.b[i] - mesh.a[j]) <= 1e-13, axis=1)
-    bwd = np.all(np.abs(mesh.a[i] - mesh.b[j]) <= 1e-13, axis=1)
-    if not np.all(fwd | bwd):
-        k = np.argmin(fwd | bwd)
-        raise ValueError("panels %d,%d do not share a vertex" % (i[k], j[k]))
-    f = fwd[:, None]
+    lengths of the touching pairs (i, j), i < j: on the mesh's ring, panel j
+    starts where panel i ends, or (i, j) = (0, n - 1) and panel i starts
+    where panel j ends."""
+    f = (j == i + 1)[:, None]
     v = np.where(f, mesh.b[i], mesh.a[i])
     fi = np.where(f, mesh.a[i], mesh.b[i])
     fj = np.where(f, mesh.b[j], mesh.a[j])
@@ -665,8 +674,8 @@ class ScatteringProblem:
 
 
 class BemTransfer:
-    """Picklable frequency-domain solution operator: frequencies of shape S
-    -> n x n matrices of shape S + (n, n).
+    """Frequency-domain solution operator: frequencies of shape S -> n x n
+    matrices of shape S + (n, n).
 
     operator 'inverse_single_layer' maps midpoint boundary data to the
     density solving V phi = data (weak form); 'exterior_dtn' maps Dirichlet
@@ -683,13 +692,6 @@ class BemTransfer:
         self.mesh = mesh
         self.operator = op
 
-    def __getstate__(self):
-        return {"mesh": mesh_to_json(self.mesh), "operator": self.operator}
-
-    def __setstate__(self, state):
-        self.mesh = mesh_from_json(state["mesh"])
-        self.operator = state["operator"]
-
     def symbol(self, s):
         """Eigenvalues of the operator on the real-FFT lanes k = 0..n//2.
 
@@ -702,7 +704,8 @@ class BemTransfer:
             exterior_dtn:          (-ell/2 + fft(kd)) / fft(v)
 
         The single layer assembles V alone (K0 only).  s may be an array,
-        assembled in one pass; the result has shape np.shape(s) + (n//2 + 1,).
+        assembled in one pass and transformed in one batched FFT; the
+        result has shape np.shape(s) + (n//2 + 1,).
         """
         mesh = self.mesh
         if not mesh.circulant:
@@ -713,11 +716,9 @@ class BemTransfer:
         plan = mesh.pair_plan()
         sv = _frequency(s)
         vals, kds = _assemble(sv.reshape(-1), mesh, plan, with_kd=not isl)
-        out = np.empty((sv.size, lanes), dtype=complex)
-        for f in range(sv.size):
-            num = ell if isl else -0.5 * ell + np.fft.fft(kds[f].ravel()[plan.kmap[0]])[:lanes]
-            out[f] = num / np.fft.fft(vals[f, plan.vmap[0]])[:lanes]
-        return out.reshape(sv.shape + (lanes,))
+        num = ell if isl else -0.5 * ell + np.fft.fft(kds.reshape(sv.size, -1)[:, plan.kmap[0]])
+        out = num / np.fft.fft(vals[:, plan.vmap[0]])
+        return out[:, :lanes].reshape(sv.shape + (lanes,))
 
     def __call__(self, s):
         mesh = self.mesh

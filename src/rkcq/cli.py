@@ -1,21 +1,18 @@
 """Command-line driver: preset tables, custom config runs, stability reports."""
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
-from .harness import (ExperimentConfig, _is_stage_count, _write_atomic, run_config,
-                      run_stability_report, run_table)
+from .harness import (ExperimentConfig, _is_stage_count, _with_overrides, _write_atomic,
+                      run_config, run_stability_report, run_table)
 
 _TABLES = ("table1", "table2", "table3", "table4", "table5")
 
 
 def _add_common(p):
     p.add_argument("--out", default="cq_out", help="output directory (default: cq_out)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes evaluating the kernel on the contour (default: serial)")
     p.add_argument("--weights-cache", default=None,
                    help="directory for reusable weight-set artifacts")
     p.add_argument("--panels", type=int, default=None,
@@ -78,22 +75,13 @@ def main(argv=None):
     if args.cmd == "run":
         with open(args.config) as f:
             cfg = ExperimentConfig.from_dict(json.load(f))
-        over = {}
-        if args.threads is not None:
-            over["threads"] = args.threads
-        if args.weights_cache is not None:
-            over["weights_cache"] = args.weights_cache
-        if args.panels is not None:
-            over["n_panels"] = args.panels
-        if args.nref is not None:
-            over["N_ref"] = args.nref
-        cfg = dataclasses.replace(cfg, **over)
-        run_config(cfg, args.out)
+        run_config(_with_overrides(cfg, weights_cache=args.weights_cache,
+                                  n_panels=args.panels, N_ref=args.nref), args.out)
         print(args.out)
         return 0
 
     run_table(args.cmd, args.out, panels=args.panels, nref=args.nref,
-              threads=args.threads, weights_cache=args.weights_cache)
+              weights_cache=args.weights_cache)
     print(args.out)
     return 0
 

@@ -30,7 +30,6 @@ stage block (a, b) of entry (c, d).
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,15 +115,6 @@ def _fft_grid(N, eps):
     return L, eps ** (1.0 / (2 * L))
 
 
-def _pool_map(fn, rows, threads):
-    # evaluate fn on chunks of the contour nodes in worker processes; the
-    # results come back in node order
-    chunks = np.array_split(np.arange(len(rows)), threads * 4)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(fn, rows[ix]) for ix in chunks]
-        return [f.result() for f in futs]
-
-
 def _contour_dft(F, L, lam, N):
     """Scaled DFT lambda^{-j}/L sum_l F_l e^{-2 pi i l j/L}, j = 0..N, along
     the first axis of F.
@@ -153,16 +143,15 @@ def weights_shape(K, tab, N):
     return (N + 1, m * K.dim, m * K.dim)
 
 
-def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
+def compute_weights(K, tab, h, N, eps=1e-24):
     """Convolution quadrature weights of K for tableau tab, step h, N steps.
 
     Returns a CQWeightSet with W of shape weights_shape(K, tab, N), real
     when the kernel is conjugate-symmetric (only the upper half of the FFT
-    circle is evaluated) and complex otherwise (the full circle).  With
-    threads > 1, matrix and diagonal kernels are evaluated on the contour
-    nodes in that many worker processes (fn must be picklable).  Raises
-    ValueError for eps outside (0, 1) and FloatingPointError when a weight
-    comes out non-finite.
+    circle is evaluated) and complex otherwise (the full circle).  K.fn is
+    called once, in this process, on the array of all contour frequencies.
+    Raises ValueError for eps outside (0, 1) and FloatingPointError when a
+    weight comes out non-finite.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -192,12 +181,7 @@ def compute_weights(K, tab, h, N, eps=1e-24, threads=1):
         op = (K.lanes,)
     else:
         op = (1,) if n == 1 else (n, n)
-    if threads > 1 and op != (1,):
-        Kv = np.concatenate(_pool_map(K.fn, s, threads))
-    else:
-        # scalar kernels stay inline: their fns are often unpicklable lambdas
-        Kv = K.fn(s)
-    Kv = np.asarray(Kv, dtype=complex).reshape((nodes, m) + op)
+    Kv = np.asarray(K.fn(s), dtype=complex).reshape((nodes, m) + op)
 
     W = np.empty(weights_shape(K, tab, N), dtype=float if nodes < L else complex)
     if n > 1:
@@ -229,12 +213,17 @@ def apply_cq(wset, stage_samples):
 
     stage_samples has shape (N+1, m) for scalar kernels, (N+1, m, n) for
     matrix kernels and (N+1, m, lanes) for diagonal kernels, in their lane
-    basis. Returns grid values u_0..u_N, shape (N+1,), (N+1, n) or
-    (N+1, lanes). u_n depends only on samples at steps <= n.
+    basis; any other shape raises ValueError. Returns grid values
+    u_0..u_N, shape (N+1,), (N+1, n) or (N+1, lanes). u_n depends only on
+    samples at steps <= n.
     """
     N, m = wset.N, wset.tableau.m
     g = np.asarray(stage_samples)
-    scalar = g.ndim == 2
+    # the operator axis: lanes, n for a dense kernel, none for a scalar one
+    op = wset.W.shape[3:] or (wset.dim,) * (wset.dim > 1)
+    if g.shape != (N + 1, m) + op:
+        raise ValueError("stage samples of shape %s do not fit the weight set, which needs %s"
+                         % (g.shape, (N + 1, m) + op))
     if wset.W.ndim == 4:
         W, gh = wset.W, g
     else:
@@ -250,7 +239,7 @@ def apply_cq(wset, stage_samples):
         u[k] = wset.r_infinity * u[k - 1] + vU[k - 1]
     if np.isrealobj(wset.W) and np.isrealobj(g):
         u = u.real
-    return u[:, 0] if scalar else u
+    return u.reshape((N + 1,) + op)
 
 
 def sample_stage_signal(g, h, N, c):

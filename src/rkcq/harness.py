@@ -92,7 +92,6 @@ class ExperimentConfig:
     n_panels: int = 64
     m_range: tuple = tuple(range(1, 13))
     eps: float = 1e-24
-    threads: int = 1
     weights_cache: str = None
     label: str = None
 
@@ -121,8 +120,6 @@ class ExperimentConfig:
             bad("mu", "must be finite")
         if not (0.0 < self.T < np.inf):
             bad("T", "the final time must be positive and finite")
-        if not (_is_int(self.threads) and self.threads >= 1):
-            bad("threads", "need at least one worker")
         for name, known in (("geometry", bem._GEOMETRIES), ("operator", bem._OPERATORS)):
             if bem._norm_name(getattr(self, name)) not in known:
                 bad(name, "unknown %s, choose from %s" % (name, ", ".join(known)))
@@ -238,12 +235,12 @@ def _weights(cfg, K, tab, h, N):
     apart.
     """
     if not cfg.weights_cache or K.key is None:
-        return compute_weights(K, tab, h, N, eps=cfg.eps, threads=cfg.threads)
+        return compute_weights(K, tab, h, N, eps=cfg.eps)
     os.makedirs(cfg.weights_cache, exist_ok=True)
     path, ident = _weights_cache_path(cfg, K, tab, h, N)
     wset = _load_cached_weights(path, ident)
     if wset is None:
-        wset = compute_weights(K, tab, h, N, eps=cfg.eps, threads=cfg.threads)
+        wset = compute_weights(K, tab, h, N, eps=cfg.eps)
         save_weights(wset, path)
     return wset
 
@@ -488,22 +485,17 @@ def _run_cell(cfg, reference=None):
     return run_bem_convergence(cfg, reference=reference)
 
 
-def run_table(table, out_dir, panels=None, nref=None, threads=None, weights_cache=None):
+def _with_overrides(cfg, **over):
+    """cfg with every override that is not None.  replace() validates, so a
+    bad override fails before any reference solve starts."""
+    return replace(cfg, **{k: v for k, v in over.items() if v is not None})
+
+
+def run_table(table, out_dir, panels=None, nref=None, weights_cache=None):
     """Run a preset's cells and write per-cell CSV plus an index JSON."""
-    cfgs = []
-    for cfg in preset_configs(table):
-        over = {}
-        if panels is not None and cfg.experiment == "bem_convergence":
-            over["n_panels"] = panels
-        if nref is not None:
-            over["N_ref"] = nref
-        if threads is not None:
-            over["threads"] = threads
-        if weights_cache is not None:
-            over["weights_cache"] = weights_cache
-        # replace() validates, so a bad override fails in every cell before
-        # any reference solve starts
-        cfgs.append(replace(cfg, **over))
+    cfgs = [_with_overrides(cfg, N_ref=nref, weights_cache=weights_cache,
+                           n_panels=panels if cfg.experiment == "bem_convergence" else None)
+            for cfg in preset_configs(table)]
     os.makedirs(out_dir, exist_ok=True)
     cells = []
     refs = {}

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pickle
@@ -86,6 +87,25 @@ def test_unit_circle_kind_requires_the_regular_polygon():
     with pytest.raises(ValueError):
         bem.BoundaryMesh(kind="unit_circle", vertices=circle.vertices,
                          panels=circle.panels[:, ::-1])
+
+
+def test_mesh_must_be_a_positively_oriented_ring():
+    # a clockwise L-shape would flip the sign of Kd and of the exterior DtN;
+    # panels out of ring order used to fail only at the first assembly
+    lshape = bem.make_mesh("l_shape", 32)
+    clockwise = json.dumps({"kind": "custom", "vertices": lshape.vertices[::-1].tolist(),
+                            "panels": lshape.panels.tolist()})
+    with pytest.raises(ValueError, match="positively oriented"):
+        bem.mesh_from_json(clockwise)
+    with pytest.raises(ValueError, match="positively oriented"):
+        bem.BoundaryMesh("custom", lshape.vertices, lshape.panels[::-1, ::-1])
+    shuffled = lshape.panels[np.random.default_rng(2).permutation(lshape.n)]
+    with pytest.raises(ValueError, match="closed ring"):
+        bem.BoundaryMesh("custom", lshape.vertices, shuffled)
+    for kind in ("unit_circle", "l_shape"):
+        for n in (8, 33, 64):
+            mesh = bem.make_mesh(kind, n)
+            bem.mesh_from_json(bem.mesh_to_json(mesh))
 
 
 def test_degenerate_panel_rejected():

@@ -27,6 +27,13 @@ def test_stability_report_rejects_bad_m_range_as_usage_error(text, capsys):
     assert err.startswith("usage:") and "--m-range" in err
 
 
+def test_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_stability_report_rejects_empty_m_range():
     with pytest.raises(ValueError, match="m_range"):
         run_stability_report(())
@@ -37,10 +44,10 @@ def test_run_applies_overrides(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "scalar_convergence", "m": 2, "N_list": [8, 16],
                                "N_ref": 64, "label": "tiny"}))
     out = tmp_path / "out"
-    assert cli.main(["run", str(cfg), "--out", str(out), "--nref", "128", "--threads", "1"]) == 0
+    assert cli.main(["run", str(cfg), "--out", str(out), "--nref", "128"]) == 0
     index = json.loads((out / "tiny_index.json").read_text())
     got = index["cells"][0]["config"]
-    assert (got["N_ref"], got["threads"], got["N_list"]) == (128, 1, [8, 16])
+    assert (got["N_ref"], got["N_list"]) == (128, [8, 16])
 
 
 def test_table_applies_overrides(tmp_path, capsys):

@@ -24,7 +24,6 @@ def identity_kernel():
 
 
 def _triangular_matrix_kernel(s):
-    # module level so the process-pool path can pickle it
     s = np.asarray(s, dtype=complex)
     K = np.zeros(s.shape + (2, 2), dtype=complex)
     K[..., 0, 0], K[..., 0, 1], K[..., 1, 1] = 1.0 / s, 0.5, s
@@ -172,23 +171,25 @@ def test_matrix_valued_kernel_blocks():
     assert np.abs(W[:, 0::2, 1::2]).max() < 1e-10
 
 
-def test_matrix_kernel_threaded_evaluation_matches_serial():
+def test_apply_cq_rejects_samples_of_another_shape():
+    # two stages of a dense 4 x 4 kernel take (N+1, 2, 4) samples; the
+    # transposed (N+1, 4, 2) samples and the flat (N+1, 8) ones are refused
+    # instead of giving other traces or a (N+1,) trace
     tab = gauss_tableau(2)
     h, N = 0.1, 6
-    K = TransferFunction(fn=_triangular_matrix_kernel, dim=2)
-    W1 = compute_weights(K, tab, h, N, threads=1).W
-    W2 = compute_weights(K, tab, h, N, threads=2).W
-    assert np.array_equal(W1, W2)
-
-
-def test_scalar_kernel_threads_do_not_change_weights():
-    # scalar kernels are evaluated inline, so an unpicklable lambda works
-    # with threads > 1 and gives the same weights
-    tab = radau_iia_tableau(3)
-    K = TransferFunction(fn=lambda s: np.sqrt(s) * np.exp(-s))
-    W1 = compute_weights(K, tab, 0.1, 10, threads=1).W
-    W2 = compute_weights(K, tab, 0.1, 10, threads=2).W
-    assert np.array_equal(W1, W2)
+    K = TransferFunction(fn=lambda s: np.asarray(s, dtype=complex)[..., None, None]
+                         * np.eye(4) + 0.5, dim=4)
+    ws = compute_weights(K, tab, h, N)
+    g = np.random.default_rng(3).standard_normal((N + 1, 2, 4))
+    g[0] = 0.0
+    assert apply_cq(ws, g).shape == (N + 1, 4)
+    for bad in (g.transpose(0, 2, 1), g.reshape(N + 1, 8), g[:-1], g[..., None]):
+        with pytest.raises(ValueError, match="stage samples of shape"):
+            apply_cq(ws, bad)
+    scalar = compute_weights(kmu_transfer(0.0), tab, h, N)
+    assert apply_cq(scalar, g[..., 0]).shape == (N + 1,)
+    with pytest.raises(ValueError, match="stage samples of shape"):
+        apply_cq(scalar, g[..., :1])
 
 
 def test_lane_blocks_do_not_change_weights(monkeypatch):

@@ -24,7 +24,6 @@ def _row(s, mu, r):
     return s ** mu * np.exp(-s * r)
 
 
-# module level so the process pool can pickle them
 def _lane_symbol(s, mu, r):
     return np.fft.fft(_row(s, mu, r), axis=-1)[..., : r.size // 2 + 1]
 
@@ -106,16 +105,6 @@ def test_lane_apply_is_exactly_causal(case, data):
     gh2[k:] += 3.0 - 2.0j
     u1 = apply_cq(wl, gh2)
     assert np.array_equal(u0[:k], u1[:k])
-
-
-@settings(max_examples=4, deadline=None, derandomize=True, database=None)
-@given(cases())
-def test_lane_weights_do_not_depend_on_threads(case):
-    n, r, mu, tab, N, h, _ = case
-    lane = _kernels(n, r, mu)[0]
-    W1 = compute_weights(lane, tab, h, N, threads=1).W
-    W2 = compute_weights(lane, tab, h, N, threads=2).W
-    assert np.array_equal(W1, W2)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)

@@ -40,6 +40,13 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"experiment": "scalar_convergence", "stages": 3})
 
 
+def test_config_has_no_threads_field():
+    # the kernel is evaluated in-process only; a config naming a worker
+    # count is refused like any other unknown key
+    with pytest.raises(ValueError, match=r"unknown config keys: \['threads'\]"):
+        ExperimentConfig.from_dict({"experiment": "scalar_convergence", "threads": 2})
+
+
 def test_report_csv_format_exact():
     cfg = ExperimentConfig("scalar_convergence", N_list=(4, 8))
     rep = ConvergenceReport(cfg, [(4, 0.5, None), (8, 0.125, 2.0)])
@@ -147,7 +154,7 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("T", -3.0),
     ("T", 0.0),
     ("T", float("nan")),
-    ("threads", 0),
+    ("T", float("inf")),
     ("N_list", ()),
     ("N_list", (3,)),
     ("N_list", (0,)),
