@@ -194,7 +194,7 @@ class BoundaryMesh:
 
 def _norm_name(name):
     s = snake_name(name)
-    return {"circle": "unit_circle", "lshape": "l_shape"}.get(s, s)
+    return {"circle": "unit_circle", "lshape": "l_shape", "exterior_dt_n": "exterior_dtn"}.get(s, s)
 
 
 # the names make_mesh and BemTransfer accept, after _norm_name
@@ -630,8 +630,8 @@ def _assemble(s, mesh, plan, with_kd=True):
 
 def _frequency(s):
     s = np.asarray(s, dtype=complex)
-    if np.any(s.real <= 0):
-        raise ValueError("assembly requires Re s > 0")
+    if not (s.real > 0).all() or np.isnan(s.imag).any():
+        raise ValueError("assembly requires Re s > 0 and no NaN")
     return s
 
 

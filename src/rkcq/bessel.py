@@ -229,13 +229,16 @@ def _bessel_k(z, orders):
     """
     z = np.asarray(z, dtype=complex)
     zf = np.atleast_1d(z).ravel()
-    if np.any(zf.real <= 0):
-        raise ValueError("K0/K1 evaluation requires Re z > 0")
+    if not (zf.real > 0).all():
+        raise ValueError("K0/K1 evaluation requires Re z > 0 and no NaN")
     out = [np.zeros_like(zf) for _ in range(orders)]
     for a in range(0, zf.size, _BLOCK):
         zb = zf[a : a + _BLOCK]
         az = np.abs(zb)
-        lo, hi = np.searchsorted(_EDGES, [az.min(), az.max()])
+        amin = az.min()
+        if np.isnan(amin):  # a NaN imaginary part
+            raise ValueError("K0/K1 evaluation requires Re z > 0 and no NaN")
+        lo, hi = np.searchsorted(_EDGES, [amin, az.max()])
         masks = {lo: slice(None)}
         if lo != hi or zb.real.max() > 700.0:
             ids = np.where(zb.real <= 700.0, np.searchsorted(_EDGES, az), -1)

@@ -1,10 +1,12 @@
-"""Config-driven convergence studies and stability reports.
+"""Config-driven convergence studies and the Gauss stability report.
 
-Each experiment cell produces rows (N_t, error, eoc) written as CSV with a
-JSON index binding files to their configurations.  Output is deterministic:
-identical configs yield bit-identical CSV (wall times live only in the
-index).  Presets table1..table5 reproduce the published scalar and
-boundary-element convergence studies at desk scale.
+Each ExperimentConfig is one convergence cell; its rows (N_t, error, eoc)
+are written as CSV with a JSON index binding files to their
+configurations.  Output is deterministic: identical configs yield
+bit-identical CSV (wall times live only in the index).  Presets
+table1..table5 reproduce the published scalar and boundary-element
+convergence studies at desk scale.  run_stability_report takes stage
+counts alone, no config.
 """
 
 import functools
@@ -46,19 +48,14 @@ __all__ = [
     "run_scalar_convergence",
     "run_bem_convergence",
     "run_stability_report",
-    "run_cancellation_table",
     "preset_configs",
     "run_table",
     "run_config",
 ]
 
 
-_FAMILIES = {"gauss": gauss_tableau, "radau_iia": radau_iia_tableau, "radau": radau_iia_tableau}
-_EXPERIMENTS = ("scalar_convergence", "bem_convergence", "stability_report", "cancellation_table")
-
-
-def _tableau(family, m):
-    return _FAMILIES[snake_name(family)](m)
+_FAMILIES = {"gauss": gauss_tableau, "radau_iia": radau_iia_tableau}
+_EXPERIMENTS = ("scalar_convergence", "bem_convergence")
 
 
 def _is_int(x):
@@ -77,7 +74,8 @@ _LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment cell; JSON configs mirror these fields exactly."""
+    """One convergence cell, its names spelled canonically; JSON configs
+    mirror these fields exactly."""
 
     experiment: str
     family: str = "gauss"
@@ -90,54 +88,50 @@ class ExperimentConfig:
     N_list: tuple = ()
     N_ref: int = 2048
     n_panels: int = 64
-    m_range: tuple = tuple(range(1, 13))
     eps: float = 1e-24
     weights_cache: str = None
     label: str = None
 
     def __post_init__(self):
         # every construction path (direct, from_dict, replace) checks the
-        # fields before any reference solve; the comparisons are written so
-        # that NaN fails them
+        # fields before any reference solve and stores the canonical names;
+        # the comparisons are written so that NaN fails them
         def bad(name, why):
             raise ValueError("config field %s=%r: %s" % (name, getattr(self, name), why))
 
         if self.experiment not in _EXPERIMENTS:
             bad("experiment", "unknown experiment, choose from %s" % ", ".join(_EXPERIMENTS))
-        tableau = _FAMILIES.get(snake_name(self.family))
-        if tableau is None:
-            bad("family", "unknown tableau family, choose from %s" % ", ".join(_FAMILIES))
+        family = snake_name(self.family)
+        for name, value, known in (
+            ("family", {"radau": "radau_iia"}.get(family, family), _FAMILIES),
+            ("geometry", bem._norm_name(self.geometry), bem._GEOMETRIES),
+            ("operator", bem._norm_name(self.operator), bem._OPERATORS),
+            ("datum", snake_name(self.datum), DATA),
+        ):
+            if value not in known:
+                bad(name, "unknown %s, choose from %s" % (name, ", ".join(known)))
+            object.__setattr__(self, name, value)
+        tableau = _FAMILIES[self.family]
         if not (_is_int(self.m) and 1 <= self.m <= _MAX_STAGES[tableau]):
             bad("m", "the stage count must be an integer in [1, %d]" % _MAX_STAGES[tableau])
-        if not all(_is_stage_count(m) for m in self.m_range):
-            bad("m_range", "stage counts must be integers in [1, 12]")
-        low = {"stability_report": 1, "cancellation_table": 2}.get(self.experiment)
-        if low and not any(m >= low for m in self.m_range):
-            bad("m_range", "%s needs a stage count m >= %d" % (self.experiment, low))
         if not (0.0 < self.eps < 1.0):
             bad("eps", "the contour parameter must lie in (0, 1)")
         if not np.isfinite(self.mu):
             bad("mu", "must be finite")
         if not (0.0 < self.T < np.inf):
             bad("T", "the final time must be positive and finite")
-        for name, known in (("geometry", bem._GEOMETRIES), ("operator", bem._OPERATORS)):
-            if bem._norm_name(getattr(self, name)) not in known:
-                bad(name, "unknown %s, choose from %s" % (name, ", ".join(known)))
-        if snake_name(self.datum) not in DATA:
-            bad("datum", "unknown datum, choose from %s" % ", ".join(DATA))
         if not (_is_int(self.n_panels) and self.n_panels >= 8):
             bad("n_panels", "the panel count must be an integer >= 8")
         if self.label is not None and not (isinstance(self.label, str)
                                            and _LABEL.fullmatch(self.label)):
             bad("label", "a file-name stem of letters, digits, '_', '.' and '-'")
-        if self.experiment in ("scalar_convergence", "bem_convergence"):
-            if not self.N_list:
-                bad("N_list", "a convergence run needs at least one grid")
-            if not _is_int(self.N_ref):
-                bad("N_ref", "the reference grid size must be an integer")
-            for N in self.N_list:
-                if not (_is_int(N) and 1 <= N <= self.N_ref and self.N_ref % N == 0):
-                    bad("N_list", "N_t=%r is no integer that divides N_ref=%r" % (N, self.N_ref))
+        if not self.N_list:
+            bad("N_list", "a convergence run needs at least one grid")
+        if not _is_int(self.N_ref):
+            bad("N_ref", "the reference grid size must be an integer")
+        for N in self.N_list:
+            if not (_is_int(N) and 1 <= N <= self.N_ref and self.N_ref % N == 0):
+                bad("N_list", "N_t=%r is no integer that divides N_ref=%r" % (N, self.N_ref))
 
     @staticmethod
     def from_dict(d):
@@ -146,15 +140,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
         d = dict(d)
-        for key in ("N_list", "m_range"):
-            if key in d:
-                d[key] = tuple(d[key])
+        if "N_list" in d:
+            d["N_list"] = tuple(d["N_list"])
         return ExperimentConfig(**d)
 
     def to_dict(self):
         d = asdict(self)
         d["N_list"] = list(d["N_list"])
-        d["m_range"] = list(d["m_range"])
         return d
 
 
@@ -253,9 +245,9 @@ def run_scalar_convergence(cfg):
     reflect the method under study even where it does not converge (a
     self-reference at equal stage count would hide stagnation).
     """
-    if snake_name(cfg.datum) != "sin_pow_exp":
+    if cfg.datum != "sin_pow_exp":
         raise ValueError("scalar convergence runs use the sin_pow_exp datum")
-    tab = _tableau(cfg.family, cfg.m)
+    tab = _FAMILIES[cfg.family](cfg.m)
     K = kmu_transfer(cfg.mu)
     t0 = time.perf_counter()
     uref = scalar_reference_solution(K, sin_pow_exp, cfg.T, cfg.N_ref, gauss_tableau(3), eps=cfg.eps)
@@ -319,8 +311,7 @@ def _bem_traces(wset, samples):
 
 def bem_reference_key(cfg):
     """Cells that may share one reference solution agree on this key."""
-    return (cfg.geometry, cfg.operator, snake_name(cfg.datum), cfg.T, cfg.N_ref,
-            cfg.n_panels, cfg.eps)
+    return (cfg.geometry, cfg.operator, cfg.datum, cfg.T, cfg.N_ref, cfg.n_panels, cfg.eps)
 
 
 def bem_reference_solution(cfg):
@@ -334,7 +325,7 @@ def bem_reference_solution(cfg):
     coarsest-grid errors under study.
     """
     mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[snake_name(cfg.datum)]
+    datum_fn = DATA[cfg.datum]
     ref_tab = gauss_tableau(3)
     h_ref = cfg.T / cfg.N_ref
     wref = _weights(cfg, K, ref_tab, h_ref, cfg.N_ref)
@@ -349,9 +340,9 @@ def run_bem_convergence(cfg, reference=None):
     method under study share one reference); all coarse grids must divide
     the reference grid so traces compare at shared time nodes.
     """
-    tab = _tableau(cfg.family, cfg.m)
+    tab = _FAMILIES[cfg.family](cfg.m)
     mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[snake_name(cfg.datum)]
+    datum_fn = DATA[cfg.datum]
     t0 = time.perf_counter()
     uref = bem_reference_solution(cfg) if reference is None else reference
     errors = []
@@ -407,11 +398,6 @@ def run_stability_report(m_range=tuple(range(1, 13))):
         entry["theta_pi"] = _fields(stability.characterize_theta_pi(m))
         report["per_m"][str(m)] = entry
     return _jsonable(report)
-
-
-def run_cancellation_table(m_range=tuple(range(2, 13))):
-    rows = [(m, stability.cancellation_check(m)) for m in m_range]
-    return rows
 
 
 def preset_configs(table):
@@ -519,19 +505,10 @@ def run_table(table, out_dir, panels=None, nref=None, weights_cache=None):
 
 
 def run_config(cfg, out_dir):
-    """Run a single config (the `run <config.json>` entry point)."""
+    """Run one convergence cell (the `run <config.json>` entry point) and
+    write its CSV and index JSON."""
     os.makedirs(out_dir, exist_ok=True)
     label = cfg.label or cfg.experiment
-    if cfg.experiment in ("scalar_convergence", "bem_convergence"):
-        index = {"cells": [_write_cell(out_dir, "%s.csv" % label, label, _run_cell(cfg))]}
-        _write_atomic(os.path.join(out_dir, "%s_index.json" % label), json.dumps(index, indent=2))
-        return index
-    if cfg.experiment == "stability_report":
-        report = run_stability_report(cfg.m_range)
-        _write_atomic(os.path.join(out_dir, "%s.json" % label), json.dumps(report, indent=2))
-        return report
-    if cfg.experiment == "cancellation_table":
-        rows = run_cancellation_table([m for m in cfg.m_range if m >= 2])
-        text = "m,residual\n" + "".join("%d,%.17e\n" % (m, r) for m, r in rows)
-        _write_atomic(os.path.join(out_dir, "%s.csv" % label), text)
-        return rows
+    index = {"cells": [_write_cell(out_dir, "%s.csv" % label, label, _run_cell(cfg))]}
+    _write_atomic(os.path.join(out_dir, "%s_index.json" % label), json.dumps(index, indent=2))
+    return index

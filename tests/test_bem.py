@@ -451,6 +451,11 @@ def test_assemble_pair_rejects_left_half_plane():
         bem.assemble_pair(-1.0, mesh)
     with pytest.raises(ValueError):
         bem.assemble_pair(0.0 + 3.0j, mesh)
+    # a NaN frequency used to reach the quadrature orders and warn there
+    for bad in (np.nan, complex(np.nan, 1.0), complex(1.0, np.nan)):
+        for assemble in (bem.assemble_pair, bem.assemble_V):
+            with pytest.raises(ValueError, match="NaN"):
+                assemble(np.array([1.0, bad]), mesh)
 
 
 def test_mass_matrix_is_length_diagonal():
@@ -517,6 +522,9 @@ def test_transfer_rejects_unknown_operator():
     mesh = bem.make_mesh("unit_circle", 16)
     with pytest.raises(ValueError):
         bem.BemTransfer(mesh, "hypersingular")
+    # the CamelCase names of the module docstring normalize
+    assert bem.BemTransfer(mesh, "ExteriorDtN").operator == "exterior_dtn"
+    assert bem.BemTransfer(mesh, "InverseSingleLayer").operator == "inverse_single_layer"
 
 
 def test_make_transfer_metadata():

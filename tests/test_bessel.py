@@ -102,6 +102,17 @@ def test_rejects_left_half_plane():
         k0k1(np.array([0.0 + 1.0j]))
 
 
+def test_rejects_nan():
+    # a NaN used to send its whole block to the |z| > 512 band, so the
+    # other values of the block came out wrong (K0(0.5) read 33.98)
+    for bad in (np.nan, complex(np.nan, 1.0), complex(1.0, np.nan)):
+        for f in (bessel_k0, bessel_k1, k0k1):
+            with pytest.raises(ValueError, match="NaN"):
+                f(np.array([0.5, 2.0, 5.0, bad]))
+            with pytest.raises(ValueError, match="NaN"):
+                f(bad)
+
+
 def test_wrappers_and_shapes():
     z = np.array([[1.0 + 1.0j, 2.0], [3.0, 0.5 - 0.5j]])
     k0 = bessel_k0(z)

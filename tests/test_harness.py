@@ -18,7 +18,6 @@ from rkcq.harness import (
     _attach_eocs,
     _mu_label,
     preset_configs,
-    run_cancellation_table,
     run_config,
     run_scalar_convergence,
     run_stability_report,
@@ -38,6 +37,10 @@ def test_config_from_dict_roundtrip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"experiment": "scalar_convergence", "stages": 3})
+    # the stability report takes its stage counts on the command line, so an
+    # index JSON's config holding m_range is refused until the key is dropped
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_dict(dict(_GOOD, m_range=[1, 2, 3]))
 
 
 def test_config_has_no_threads_field():
@@ -159,15 +162,10 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("N_list", (3,)),
     ("N_list", (0,)),
     ("N_list", (32,)),
-    ("m_range", (2.5,)),
-    ("m_range", (13,)),
-    ("m_range", (0, 3)),
-    ("stability_report", ()),
-    ("cancellation_table", ()),
-    ("cancellation_table", (1,)),
     ("m", True),
-    ("m_range", (True, 3)),
     ("experiment", "typo"),
+    ("experiment", "stability_report"),
+    ("experiment", "cancellation_table"),
     ("geometry", "triangle"),
     ("operator", "hyper"),
     ("datum", "nope"),
@@ -183,13 +181,9 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
-    # in well under 0.1 s and with the field named in the message; an
-    # experiment name in place of the field sets that experiment's m_range,
-    # a family name that family's m
+    # in well under 0.1 s and with the field named in the message; a
+    # family name in place of the field sets that family's m
     base = _GOOD
-    if field in ("stability_report", "cancellation_table"):
-        base = dict(experiment=field)
-        field = "m_range"
     if field == "radau_iia":
         base = dict(_GOOD, family=field)
         field = "m"
@@ -203,10 +197,28 @@ def test_config_rejects_bad_fields(field, value):
         assert time.perf_counter() - t0 < 0.1
 
 
-def test_config_checks_grids_only_for_convergence_runs():
-    cfg = ExperimentConfig("stability_report", m_range=(2, 3))
-    assert cfg.N_list == ()
-    assert ExperimentConfig("scalar_convergence", family="Gauss", N_list=(7,), N_ref=21).m == 3
+def test_config_stores_canonical_names():
+    # two spellings of one cell are one cell: equal configs, one reference
+    # key and one shared mesh (one pair plan, one V(1))
+    loose = ExperimentConfig("bem_convergence", "Radau", 3, geometry="circle",
+                             operator="InverseSingleLayer", datum="TravelingGaussian",
+                             N_list=(7,), N_ref=21)
+    canon = ExperimentConfig("bem_convergence", "radau_iia", 3, geometry="unit_circle",
+                             operator="inverse_single_layer", datum="traveling_gaussian",
+                             N_list=(7,), N_ref=21)
+    assert loose == canon
+    assert harness.bem_reference_key(loose) == harness.bem_reference_key(canon)
+    assert harness._bem_setup(loose)[0] is harness._bem_setup(canon)[0]
+    d = loose.to_dict()
+    assert [d[k] for k in ("family", "geometry", "operator", "datum")] == [
+        "radau_iia", "unit_circle", "inverse_single_layer", "traveling_gaussian"]
+    assert ExperimentConfig.from_dict(d) == loose
+    camel = ExperimentConfig("scalar_convergence", family="Gauss", geometry="LShape",
+                             operator="ExteriorDtN", datum="SinPowExp", N_list=(7,), N_ref=21)
+    assert camel.m == 3
+    assert [camel.family, camel.geometry, camel.operator, camel.datum] == [
+        "gauss", "l_shape", "exterior_dtn", "sin_pow_exp"]
+    assert replace(canon, geometry="UnitCircle", operator="ExteriorDtN").operator == "exterior_dtn"
 
 
 def test_weights_cache_reuse(tmp_path):
@@ -344,18 +356,6 @@ def test_run_config_writes_csv_and_index(tmp_path):
         assert f.read() == csv1
 
 
-def test_run_config_stability_and_cancellation(tmp_path):
-    out = str(tmp_path / "stab")
-    cfg = ExperimentConfig("stability_report", m_range=(2, 3), label="stab")
-    rep = run_config(cfg, out)
-    assert os.path.exists(os.path.join(out, "stab.json"))
-    assert rep["per_m"]["3"]["theta0"]["delta"][0] == pytest.approx(2.5, abs=1e-12)
-    cfg2 = ExperimentConfig("cancellation_table", m_range=(2, 3, 4), label="canc")
-    rows = run_config(cfg2, out)
-    assert all(r <= 1e-9 for _, r in rows)
-    assert os.path.exists(os.path.join(out, "canc.csv"))
-
-
 def test_stability_report_structure():
     rep = run_stability_report((1, 3))
     assert rep["m_values"] == [1, 3]
@@ -373,10 +373,3 @@ def test_stability_report_structure():
         run_stability_report((0, 2))
     with pytest.raises(ValueError, match="integers"):
         run_stability_report((2.5,))
-
-
-def test_cancellation_table_range():
-    rows = run_cancellation_table((2, 5, 8))
-    assert [m for m, _ in rows] == [2, 5, 8]
-    assert rows[0][1] == 0.0
-    assert all(r <= 1e-9 for _, r in rows)
