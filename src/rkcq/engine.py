@@ -25,12 +25,19 @@ hfft for conjugate-symmetric kernels, the full circle with fft
 otherwise).  The weights are (N+1, m, m), (N+1, m, m, k) (apply_cq then
 works in the lane basis) or (N+1, m n, m n), with W[j, a n + c, b n + d]
 stage block (a, b) of entry (c, d).
+
+The contour nodes and the batched Delta(zeta) eigendecomposition are built
+once per contour key per process: the tableau's A and b, N, eps and the
+node count, never the kernel or h.  Later weight sets on that contour reuse
+them read-only from a bounded private cache.
 """
 
+import functools
 import json
 import os
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,6 +157,9 @@ def compute_weights(K, tab, h, N, eps=1e-24):
     when the kernel is conjugate-symmetric (only the upper half of the FFT
     circle is evaluated) and complex otherwise (the full circle).  K.fn is
     called once, in this process, on the array of all contour frequencies.
+    The contour nodes and the batched Delta(zeta) eigendecomposition are
+    built once per contour key (tableau A and b, N, eps, half or full
+    circle) per process; later calls reuse them read-only.
     Raises ValueError for eps outside (0, 1) and FloatingPointError when a
     weight comes out non-finite.
     """
@@ -163,14 +173,8 @@ def compute_weights(K, tab, h, N, eps=1e-24):
     n = K.dim
     L, lam = _fft_grid(N, eps)
     nodes = L // 2 + 1 if K.conj_symmetric else L
-
-    w, E = np.linalg.eig(delta_matrix(tab, lam * np.exp(2j * np.pi * np.arange(nodes) / L)))
-    if not np.linalg.cond(E).max() <= 1e10:
-        raise np.linalg.LinAlgError(
-            "eigenvector condition number exceeds 1e10 on the FFT circle; change eps"
-        )
-    Einv = np.linalg.inv(E)
-    _identity_sanity(m, E, Einv, L, lam, N)
+    w, E, Einv = _contour(np.asarray(tab.A, dtype=float).tobytes(),
+                          np.asarray(tab.b, dtype=float).tobytes(), m, N, eps, nodes)
     s = w / h
     if s.real.min() < K.sigma0:
         warnings.warn(
@@ -199,6 +203,30 @@ def compute_weights(K, tab, h, N, eps=1e-24):
             raise FloatingPointError("non-finite CQ weights: check the kernel values and eps")
         Wv[:, :, :, c : c + step] = blk
     return CQWeightSet(h, N, tab, n, W, tab.r_infinity, eps, K.key)
+
+
+@functools.lru_cache(maxsize=16)
+def _contour(A, b, m, N, eps, nodes):
+    """Read-only (w, E, Einv) with Delta(zeta_l) = E_l diag(w_l) E_l^{-1} on
+    the first `nodes` nodes of the scaled FFT circle of N steps, for the
+    tableau whose float64 A and b have the bytes A and b.
+
+    The contour depends on neither the kernel nor h, so each one is
+    decomposed and checked once per process; one whose guard raises is not
+    stored and raises again on the next call.
+    """
+    L, lam = _fft_grid(N, eps)
+    tab = SimpleNamespace(m=m, A=np.frombuffer(A).reshape(m, m), b=np.frombuffer(b))
+    w, E = np.linalg.eig(delta_matrix(tab, lam * np.exp(2j * np.pi * np.arange(nodes) / L)))
+    if not np.linalg.cond(E).max() <= 1e10:
+        raise np.linalg.LinAlgError(
+            "eigenvector condition number exceeds 1e10 on the FFT circle; change eps"
+        )
+    Einv = np.linalg.inv(E)
+    _identity_sanity(m, E, Einv, L, lam, N)
+    for a in (w, E, Einv):
+        a.flags.writeable = False
+    return w, E, Einv
 
 
 def _identity_sanity(m, E, Einv, L, lam, N):

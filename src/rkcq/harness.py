@@ -125,6 +125,10 @@ class ExperimentConfig:
         if self.label is not None and not (isinstance(self.label, str)
                                            and _LABEL.fullmatch(self.label)):
             bad("label", "a file-name stem of letters, digits, '_', '.' and '-'")
+        try:
+            object.__setattr__(self, "N_list", tuple(self.N_list))
+        except TypeError:
+            bad("N_list", "a convergence run needs a sequence of grids")
         if not self.N_list:
             bad("N_list", "a convergence run needs at least one grid")
         if not _is_int(self.N_ref):
@@ -139,9 +143,6 @@ class ExperimentConfig:
         unknown = set(d) - allowed
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        d = dict(d)
-        if "N_list" in d:
-            d["N_list"] = tuple(d["N_list"])
         return ExperimentConfig(**d)
 
     def to_dict(self):

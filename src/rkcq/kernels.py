@@ -20,10 +20,13 @@ SQRT2 = np.sqrt(2.0)
 
 
 def eval_kmu(s, mu):
-    """K_mu(s) = s^mu / (1 - e^{-s}), principal branch, Re s > 0."""
+    """K_mu(s) = s^mu / (1 - e^{-s}), principal branch, Re s > 0.
+
+    Raises ValueError for Re s <= 0 and for NaN in either part of s.
+    """
     s = np.asarray(s, dtype=complex)
-    if np.any(s.real <= 0):
-        raise ValueError("K_mu requires Re s > 0")
+    if not (s.real > 0).all() or np.isnan(s.imag).any():
+        raise ValueError("K_mu requires Re s > 0 and no NaN")
     return s ** mu / (1.0 - np.exp(-s))
 
 

@@ -1,5 +1,7 @@
 """Weight computation and discrete convolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from rkcq.engine import (
     scalar_reference_solution,
 )
 from rkcq.kernels import eval_kmu, kmu_transfer, power_transfer, sin_pow_exp
-from rkcq.tableaux import gauss_tableau, radau_iia_tableau
+from rkcq.tableaux import gauss_tableau, radau_iia_tableau, tableau_from_json, tableau_to_json
 
 
 def identity_kernel():
@@ -275,13 +277,15 @@ def test_rejects_bad_horizon():
 
 def test_warns_on_coarse_step():
     # a step too coarse for sigma0 fires both the step warning and the
-    # contour-reach warning
+    # contour-reach warning, on every call: the second one reads its
+    # contour from the cache
     K = kmu_transfer(0.0, sigma0=30.0)
-    with pytest.warns(UserWarning) as rec:
-        compute_weights(K, gauss_tableau(2), 0.1, 4)
-    messages = [str(w.message) for w in rec]
-    assert any("too coarse" in msg for msg in messages)
-    assert any("below sigma0" in msg for msg in messages)
+    for _ in range(2):
+        with pytest.warns(UserWarning) as rec:
+            compute_weights(K, gauss_tableau(2), 0.1, 4)
+        messages = [str(w.message) for w in rec]
+        assert any("too coarse" in msg for msg in messages)
+        assert any("below sigma0" in msg for msg in messages)
 
 
 def test_warns_on_noncausal_signal():
@@ -295,3 +299,91 @@ def test_stage_samples_shape_and_values():
     assert g.shape == (5, 2)
     t = np.arange(5) * 0.5
     assert g == pytest.approx((t[:, None] + tab.c[None, :] * 0.5) ** 2)
+
+
+def _cache_kernels():
+    # a scalar, a diagonal and a dense kernel, each on the upper half and
+    # on the full circle
+    scalar = kmu_transfer(0.5)
+    lanes = TransferFunction(fn=lambda s: np.stack([1.0 / s, s, s * s], axis=-1), lanes=3)
+    dense = TransferFunction(fn=_triangular_matrix_kernel, dim=2)
+    for K in (scalar, lanes, dense):
+        yield K
+        yield dataclasses.replace(K, conj_symmetric=False)
+
+
+def test_contour_cache_weights_are_bitwise_identical():
+    # a contour decomposed for another kernel and step gives the same bytes
+    # as one decomposed afresh
+    tab = gauss_tableau(3)
+    for K in _cache_kernels():
+        engine._contour.cache_clear()
+        compute_weights(dataclasses.replace(identity_kernel(), conj_symmetric=K.conj_symmetric),
+                        tab, 0.2, 32)
+        warm = compute_weights(K, tab, 0.05, 32).W
+        assert engine._contour.cache_info().hits == 1
+        engine._contour.cache_clear()
+        cold = compute_weights(K, tab, 0.05, 32).W
+        assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+
+
+def test_one_eigendecomposition_per_contour(monkeypatch):
+    # two kernels at two steps on one (tableau, N, eps) decompose it once
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M.shape) or eig(M))
+    engine._contour.cache_clear()
+    tab = gauss_tableau(2)
+    compute_weights(kmu_transfer(0.0), tab, 0.05, 32)
+    compute_weights(kmu_transfer(1.0), tab, 0.1, 32)
+    assert len(calls) == 1
+
+
+def test_contour_cache_key():
+    # the key is what the contour depends on: A, b, N, eps and the node
+    # count, not the tableau object
+    tab, K = gauss_tableau(3), kmu_transfer(0.5)
+    engine._contour.cache_clear()
+    compute_weights(K, tab, 0.05, 32)
+
+    def hit(K, tab, N=32, eps=1e-24):
+        before = engine._contour.cache_info().hits
+        compute_weights(K, tab, 0.05, N, eps=eps)
+        return engine._contour.cache_info().hits - before
+
+    assert hit(K, tableau_from_json(tableau_to_json(tab))) == 1
+    A = tab.A.copy()
+    A.view(np.uint64)[1, 2] ^= 1
+    assert not hit(K, dataclasses.replace(tab, A=A))
+    assert not hit(K, tab, N=33)
+    assert not hit(K, tab, eps=1e-20)
+    assert not hit(dataclasses.replace(K, conj_symmetric=False), tab)
+    assert hit(K, tab) == 1
+
+
+def test_cached_contour_is_read_only():
+    tab = gauss_tableau(3)
+    L, _ = engine._fft_grid(32, 1e-24)
+    for a in engine._contour(tab.A.tobytes(), tab.b.tobytes(), 3, 32, 1e-24, L // 2 + 1):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_failed_contour_raises_on_every_call(monkeypatch):
+    # with b = 0, Delta = A^{-1} at every node: a singular A fails the cond
+    # guard, a Jordan block the eigenvector guard; neither is stored
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M.shape) or eig(M))
+    tab = gauss_tableau(2)
+    singular = dataclasses.replace(tab, A=np.zeros((2, 2)), b=np.zeros(2))
+    jordan = dataclasses.replace(tab, A=np.array([[1.0, 1.0], [0.0, 1.0]]), b=np.zeros(2))
+    engine._contour.cache_clear()
+    for bad, match in ((singular, "singular"), (jordan, "eigenvector condition")):
+        for _ in range(2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(np.linalg.LinAlgError, match=match):
+                    compute_weights(kmu_transfer(0.0), bad, 0.05, 8)
+    assert engine._contour.cache_info().currsize == 0
+    assert len(calls) == 2

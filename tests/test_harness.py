@@ -34,6 +34,16 @@ def test_config_from_dict_roundtrip():
     assert ExperimentConfig.from_dict(back) == cfg
 
 
+def test_config_stores_n_list_as_tuple():
+    # a list and a tuple name one cell: equal, hashable, one round trip
+    listed = ExperimentConfig("scalar_convergence", N_list=[4, 8], N_ref=16)
+    cell = ExperimentConfig("scalar_convergence", N_list=(4, 8), N_ref=16)
+    assert listed.N_list == (4, 8)
+    assert listed == cell and hash(listed) == hash(cell)
+    assert ExperimentConfig.from_dict(listed.to_dict()) == cell
+    assert replace(cell, N_list=[4, 8]) == cell
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"experiment": "scalar_convergence", "stages": 3})
@@ -173,6 +183,8 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("n_panels", 64.5),
     ("n_panels", True),
     ("N_list", (8.0, 16)),
+    ("N_list", 8),
+    ("N_list", None),
     ("N_ref", 16.0),
     ("radau_iia", 10),
     ("radau_iia", 9),

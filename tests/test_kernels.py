@@ -29,6 +29,18 @@ def test_eval_kmu_rejects_left_half_plane():
         eval_kmu(0.0, 1.0)
 
 
+def test_eval_kmu_rejects_nan():
+    # NaN in either part fails, alone or next to valid frequencies
+    for bad in (np.nan, complex(1.0, np.nan), np.array([1.0, np.nan]),
+                np.array([1.0, complex(1.0, np.nan)])):
+        with pytest.raises(ValueError, match="NaN"):
+            eval_kmu(bad, 0.5)
+    # valid input gives the formula's values bit for bit
+    s = np.array([0.5 + 0.3j, 2.0, 1.0 - 4.0j, 1e-3 + 7.0j])
+    for mu in (-1.0, 0.0, 0.5, 1.0):
+        assert eval_kmu(s, mu).tobytes() == (s ** mu / (1.0 - np.exp(-s))).tobytes()
+
+
 def test_kmu_transfer_metadata():
     K = kmu_transfer(1.0)
     assert K.dim == 1 and K.conj_symmetric and K.key == "kmu_1.0"
