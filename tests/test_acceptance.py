@@ -6,8 +6,11 @@ are shared through module-scoped fixtures so every stated runtime budget
 covers the actual work, not repeated setup.
 """
 
+import importlib.util
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,12 @@ from rkcq.stability import (
 from rkcq.tableaux import gauss_tableau, radau_iia_tableau
 
 CRITERION_LINES = []
+
+# the golden files and their bounds (tests/golden/update.py rewrites them)
+GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_update", GOLDEN / "update.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def _report(num, checks):
@@ -53,50 +62,43 @@ def _row(cell, N):
     raise KeyError(N)
 
 
+def _run_preset(table, tmp_path_factory):
+    """(index, wall time, output directory) of one preset run."""
+    out = tmp_path_factory.mktemp(table)
+    t0 = time.perf_counter()
+    index = run_table(table, str(out))
+    return index, time.perf_counter() - t0, out
+
+
 @pytest.fixture(scope="module")
 def table1_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("table1")
-    t0 = time.perf_counter()
-    index = run_table("table1", str(out))
-    return index, time.perf_counter() - t0
+    return _run_preset("table1", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def table2_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("table2")
-    t0 = time.perf_counter()
-    index = run_table("table2", str(out))
-    return index, time.perf_counter() - t0
+    return _run_preset("table2", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def table3_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("table3")
-    t0 = time.perf_counter()
-    index = run_table("table3", str(out))
-    return index, time.perf_counter() - t0
+    return _run_preset("table3", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def table4_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("table4")
-    t0 = time.perf_counter()
-    index = run_table("table4", str(out))
-    return index, time.perf_counter() - t0
+    return _run_preset("table4", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def table5_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("table5")
-    t0 = time.perf_counter()
-    index = run_table("table5", str(out))
-    return index, time.perf_counter() - t0
+    return _run_preset("table5", tmp_path_factory)
 
 
 def test_criterion_1_two_stage_scalar_convergence(table1_run):
     # scalar kernels s^mu, 2-stage Gauss, T=3, reference at 2048 steps:
     # full order 4 at mu=-1, order 2 at mu=0, stagnation near 0.45 at mu=1
-    index, wall = table1_run
+    index, wall, _ = table1_run
     em1 = _row(_cell(index, "gauss2_mum1"), 128)[2]
     e0 = _row(_cell(index, "gauss2_mu0"), 128)[2]
     cell1 = _cell(index, "gauss2_mu1")
@@ -116,7 +118,7 @@ def test_criterion_1_two_stage_scalar_convergence(table1_run):
 def test_criterion_2_three_stage_scalar_convergence(table2_run):
     # 3-stage Gauss: order 4 at mu=0, intermediate at mu=1/2, and mu=1
     # converging above the stage-order-plus-one rate 3
-    index, wall = table2_run
+    index, wall, _ = table2_run
     e0 = _row(_cell(index, "gauss3_mu0"), 256)[2]
     eh = _row(_cell(index, "gauss3_mu0p5"), 256)[2]
     e1 = _row(_cell(index, "gauss3_mu1"), 256)[2]
@@ -218,8 +220,8 @@ def test_criterion_7_dtn_map_convergence(table4_run, table5_run):
     # exterior Dirichlet-to-Neumann runs on the circle and the L-shape with
     # the traveling Gaussian datum: 3-stage Gauss converges at the
     # superconvergent rate ~4, 3-stage Radau IIA at its stage-order rate 3
-    idx4, wall4 = table4_run
-    idx5, wall5 = table5_run
+    idx4, wall4, _ = table4_run
+    idx5, wall5, _ = table5_run
     checks = []
     for name, index in (("circle", idx4), ("l-shape", idx5)):
         g = _row(_cell(index, "gauss3"), 70)
@@ -238,7 +240,7 @@ def test_criterion_7_dtn_map_convergence(table4_run, table5_run):
 def test_criterion_8_inverse_single_layer_convergence(table3_run):
     # single-layer inversion with the t^15 datum: odd stage counts keep
     # order m+1 while the even count m=2 degrades toward order ~0.5
-    index, _ = table3_run
+    index, _, _ = table3_run
     m3 = _cell(index, "gauss3")
     mid3 = [_row(m3, N)[2] for N in (10, 14, 15)]
     m2 = _cell(index, "gauss2")
@@ -284,3 +286,30 @@ def test_criterion_9_determinism_and_causality(tmp_path):
         ("future outputs respond", bool(np.abs(u1[11:] - u0[11:]).max() > 1e-3),
          "perturbed"),
     ])
+
+
+@pytest.mark.parametrize("table", [
+    "table1", "table2", "table3",
+    pytest.param("table4", marks=pytest.mark.slow),
+    pytest.param("table5", marks=pytest.mark.slow),
+])
+def test_tables_match_golden(table, request):
+    # the preset's CSVs, from the fixture the criteria share, against the
+    # checked-in ones: a moved quadrature order or a changed rate fails
+    # here, where the criteria's bands would let it pass
+    index, _, out = request.getfixturevalue("%s_run" % table)
+    files = {cell["file"]: cell["label"] for cell in index["cells"]}
+    assert sorted(files) == sorted(p.name for p in GOLDEN.glob("%s_*.csv" % table))
+    moved = []
+    for name, label in files.items():
+        deltas = golden.table_deltas(table, label, (GOLDEN / name).read_text(),
+                                     (out / name).read_text())
+        moved += [(name,) + d for d in deltas if not d[-1]]
+    assert not moved, "rows past their golden bounds (python tests/golden/update.py): %s" % moved
+
+
+def test_stability_report_matches_golden():
+    report = run_stability_report(range(1, 13))
+    want = json.loads((GOLDEN / golden.REPORT).read_text())
+    moved = [d for d in golden.report_deltas(want, json.loads(json.dumps(report))) if not d[-1]]
+    assert not moved, moved
