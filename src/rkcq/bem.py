@@ -18,10 +18,12 @@ order rule (_gl_orders) sets both from the oscillation of e^{-s r} along a
 panel or a graded cell.  Pairs whose kernel is below e^-60 everywhere are
 skipped.  Congruent panel pairs have equal entries, so a per-mesh pair
 plan groups the pairs into congruence classes and every frequency
-evaluates one representative per class; the unit circle has n//2 + 1
-classes and exactly symmetric circulant matrices.  The discrete Fourier
-modes diagonalize every operator there, and BemTransfer.symbol returns the
-transfer operator's eigenvalues on the real-FFT lanes.
+evaluates one representative per class.  A regular polygon, make_mesh's
+circle among them, has n//2 + 1 classes and exactly symmetric circulant
+matrices, which the plan reads off its class maps (BoundaryMesh.circulant).
+The discrete Fourier modes diagonalize every operator there, and
+BemTransfer.symbol returns the transfer operator's eigenvalues on the
+real-FFT lanes.
 
 Assembly takes an array of frequencies in one pass over the pair plan.
 Each rule's s-independent geometry (distances, weight products and the
@@ -147,11 +149,6 @@ class BoundaryMesh:
                              "got signed area %g" % area)
         t = d / self.length[:, None]
         self.normal = np.column_stack([t[:, 1], -t[:, 0]])
-        if self.kind == "unit_circle":
-            n = len(self.panels)
-            if (self.vertices.shape != (n, 2) or not np.array_equal(self.panels, _ring(n))
-                    or np.abs(self.vertices - _circle_vertices(n)).max() > 1e-12):
-                raise ValueError("a unit_circle mesh must be the regular %d-gon of make_mesh" % n)
         self._gl = {}
         self._v1 = None
         self._plan = None
@@ -162,11 +159,12 @@ class BoundaryMesh:
 
     @property
     def circulant(self):
-        """True when the mesh is rotation-invariant, so that V, Kd and M
-        are symmetric circulant: the predicate of the per-Fourier-mode
-        route.  A "unit_circle" mesh is checked at construction to be the
-        regular n-gon of make_mesh."""
-        return self.kind == "unit_circle"
+        """True when V, Kd and M are symmetric circulant, the predicate of
+        the per-Fourier-mode route.  The pair plan reads it off its class
+        maps, whatever the kind: vmap[i, j] == vmap[0, (j - i) % n], the
+        same for kmap, and kmap[0, d] == kmap[0, -d % n].  Every regular
+        polygon passes, up to the plan's 1e-10 clustering of coordinates."""
+        return self.pair_plan().circulant
 
     def gl_points(self, order=8):
         """order-point Gauss-Legendre nodes and weights on every panel."""
@@ -224,7 +222,8 @@ def make_mesh(geometry, n):
     if n < 8:
         raise ValueError("need at least 8 panels, got %d" % n)
     if g == "unit_circle":
-        verts = _circle_vertices(n)
+        th = 2.0 * np.pi * np.arange(n) / n
+        verts = np.column_stack([np.cos(th), np.sin(th)])
     else:
         corners = _LSHAPE_CORNERS
         sides = np.roll(corners, -1, axis=0) - corners
@@ -236,18 +235,9 @@ def make_mesh(geometry, n):
             t = np.arange(alloc[k])[:, None] / alloc[k]
             parts.append(corners[k] + t * sides[k])
         verts = np.vstack(parts)
-    return BoundaryMesh(kind=g, vertices=verts, panels=_ring(len(verts)))
-
-
-def _circle_vertices(n):
-    th = 2.0 * np.pi * np.arange(n) / n
-    return np.column_stack([np.cos(th), np.sin(th)])
-
-
-def _ring(n):
-    """Panels joining n vertices in order, the last back to the first."""
-    idx = np.arange(n)
-    return np.column_stack([idx, (idx + 1) % n])
+    idx = np.arange(len(verts))
+    panels = np.column_stack([idx, (idx + 1) % idx.size])
+    return BoundaryMesh(kind=g, vertices=verts, panels=panels)
 
 
 def mesh_to_json(mesh):
@@ -456,7 +446,7 @@ class _PairPlan:
     vmap and kmap.  The classes split by kind into the diagonal (panel
     lengths), touching pairs (_touching_geometry) and far pairs (minimum
     distance and the effective length that sets the quadrature order),
-    stored nearest first.
+    stored nearest first.  circulant is BoundaryMesh.circulant.
     """
 
     def __init__(self, mesh, vmap, kmap):
@@ -465,6 +455,10 @@ class _PairPlan:
         _, first = np.unique(vmap[iu, ju], return_index=True)
         ri, rj = iu[first], ju[first]
         self.vmap, self.kmap, self.size = vmap, kmap, first.size
+        offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        self.circulant = bool(np.array_equal(vmap, vmap[0][offset])
+                              and np.array_equal(kmap, kmap[0][offset])
+                              and np.array_equal(kmap[0], kmap[0][-np.arange(n) % n]))
         diag = ri == rj
         touch = (rj - ri == 1) | ((ri == 0) & (rj == n - 1))
         far = np.flatnonzero(~(diag | touch))
@@ -709,7 +703,7 @@ class BemTransfer:
         """
         mesh = self.mesh
         if not mesh.circulant:
-            raise ValueError("symbol needs a circulant mesh, got %r" % mesh.kind)
+            raise ValueError("symbol needs a circulant mesh (BoundaryMesh.circulant)")
         lanes = mesh.n // 2 + 1
         ell = mesh.length[0]
         isl = self.operator == "inverse_single_layer"
@@ -757,13 +751,14 @@ def make_transfer(problem, mesh=None):
 
 def make_mode_transfer(problem, mesh):
     """Diagonal TransferFunction of the problem's operator on a circulant
-    mesh: s -> BemTransfer.symbol(s), one lane per real-FFT mode.
+    mesh (BoundaryMesh.circulant: any regular polygon, whatever its kind):
+    s -> BemTransfer.symbol(s), one lane per real-FFT mode.
 
     Its weights are (N+1, m, m, n//2 + 1); apply them to rfft'd stage data
     and irfft the traces (see rkcq.engine).
     """
     if not mesh.circulant:
-        raise ValueError("mode transfer needs a circulant mesh, got %r" % mesh.kind)
+        raise ValueError("mode transfer needs a circulant mesh (BoundaryMesh.circulant)")
     fn = BemTransfer(mesh, problem.operator)
     return TransferFunction(
         fn=fn.symbol,

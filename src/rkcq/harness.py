@@ -63,6 +63,10 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    return isinstance(x, (float, np.floating)) or _is_int(x)
+
+
 def _is_stage_count(m):
     return _is_int(m) and 1 <= m <= 12
 
@@ -114,12 +118,18 @@ class ExperimentConfig:
         tableau = _FAMILIES[self.family]
         if not (_is_int(self.m) and 1 <= self.m <= _MAX_STAGES[tableau]):
             bad("m", "the stage count must be an integer in [1, %d]" % _MAX_STAGES[tableau])
+        for name in ("eps", "mu", "T"):
+            if not _is_real(getattr(self, name)):
+                bad(name, "must be a real number")
         if not (0.0 < self.eps < 1.0):
             bad("eps", "the contour parameter must lie in (0, 1)")
         if not np.isfinite(self.mu):
             bad("mu", "must be finite")
         if not (0.0 < self.T < np.inf):
             bad("T", "the final time must be positive and finite")
+        cache = self.weights_cache
+        if not (cache is None or isinstance(cache, str) and cache):
+            bad("weights_cache", "a directory name, or None")
         if not (_is_int(self.n_panels) and self.n_panels >= 8):
             bad("n_panels", "the panel count must be an integer >= 8")
         if self.label is not None and not (isinstance(self.label, str)
@@ -283,19 +293,13 @@ def _shared_mesh(geometry, n_panels):
 
 def _bem_setup(cfg):
     """Mesh and transfer function of a cell: the per-mode (diagonal) kernel
-    on a circulant mesh, the dense matrix kernel otherwise."""
+    where the mesh's pair plan finds it circulant (BoundaryMesh.circulant;
+    the circle, not the L-shape), the dense matrix kernel otherwise."""
     mesh = _shared_mesh(cfg.geometry, cfg.n_panels)
-    problem = ScatteringProblem(
-        geometry=cfg.geometry,
-        operator=cfg.operator,
-        datum=cfg.datum,
-        T=cfg.T,
-        n_panels=cfg.n_panels,
-        N_t=cfg.N_ref,
-    )
-    if mesh.circulant:
-        return mesh, make_mode_transfer(problem, mesh)
-    return mesh, make_transfer(problem, mesh)
+    problem = ScatteringProblem(cfg.geometry, cfg.operator, cfg.datum, cfg.T, cfg.n_panels,
+                                cfg.N_ref)
+    make = make_mode_transfer if mesh.circulant else make_transfer
+    return mesh, make(problem, mesh)
 
 
 def _bem_traces(wset, samples):

@@ -311,5 +311,5 @@ def test_tables_match_golden(table, request):
 def test_stability_report_matches_golden():
     report = run_stability_report(range(1, 13))
     want = json.loads((GOLDEN / golden.REPORT).read_text())
-    moved = [d for d in golden.report_deltas(want, json.loads(json.dumps(report))) if not d[-1]]
+    moved = [d for d in golden.report_deltas(want, report) if not d[-1]]
     assert not moved, moved

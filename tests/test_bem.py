@@ -48,7 +48,7 @@ def test_make_mesh_validation():
         bem.make_mesh("unit_circle", 7)
     with pytest.raises(ValueError):
         bem.make_mesh("hexagon", 16)
-    # a fractional count would mesh 65 unequal chords and still be circulant
+    # a fractional count would mesh 65 unequal chords, not a regular polygon
     for n in (64.5, 64.0, True):
         with pytest.raises(ValueError, match="integer"):
             bem.make_mesh("unit_circle", n)
@@ -68,25 +68,64 @@ def test_mesh_json_roundtrip():
     assert np.array_equal(back.mid, mesh.mid)
 
 
-def test_unit_circle_kind_requires_the_regular_polygon():
-    # the per-mode route trusts a "unit_circle" mesh to be circulant, so a
-    # mesh under that label with other vertices is refused at construction
+def _polygon(vertices, kind="custom"):
+    idx = np.arange(len(vertices))
+    return bem.BoundaryMesh(kind, vertices, np.column_stack([idx, (idx + 1) % idx.size]))
+
+
+def _regular(n, radius=1.0, angle=0.0, centre=(0.0, 0.0)):
+    th = angle + 2.0 * np.pi * np.arange(n) / n
+    return _polygon(np.asarray(centre) + radius * np.column_stack([np.cos(th), np.sin(th)]))
+
+
+def test_pair_plan_decides_circulant():
+    # the per-mode route is keyed on the plan's class maps, not the label:
+    # every regular polygon takes it, whatever its kind, size or placement
+    for n in (8, 9, 33, 64, 127, 512):
+        assert bem.make_mesh("unit_circle", n).circulant, n
+    for n, radius, angle, centre in ((8, 3.0, 0.4, (1.0, -2.0)), (33, 0.01, 1.3, (0.0, 0.0)),
+                                     (64, 2.5, -0.7, (40.0, 15.0))):
+        assert _regular(n, radius, angle, centre).circulant, n
+    # and no other mesh does: the L-shape, a random star polygon, and a
+    # circle with one vertex moved by 1e-6
+    assert not bem.make_mesh("l_shape", 64).circulant
+    rng = np.random.default_rng(11)
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, 40))
+    r = rng.uniform(0.5, 1.5, 40)
+    assert not _polygon(np.column_stack([r * np.cos(th), r * np.sin(th)])).circulant
+    moved = bem.make_mesh("unit_circle", 32).vertices.copy()
+    moved[5, 0] += 1e-6
+    assert not _polygon(moved).circulant
+
+
+def test_mislabelled_mesh_takes_the_dense_route():
+    # an L-shape labelled "unit_circle" constructs, built directly or read
+    # from JSON, and the per-mode route refuses it
     lshape = bem.make_mesh("l_shape", 32)
-    with pytest.raises(ValueError, match="regular 32-gon"):
-        bem.BoundaryMesh(kind="unit_circle", vertices=lshape.vertices, panels=lshape.panels)
     edited = bem.mesh_to_json(lshape).replace('"l_shape"', '"unit_circle"')
-    assert '"unit_circle"' in edited
-    with pytest.raises(ValueError, match="regular 32-gon"):
-        bem.mesh_from_json(edited)
-    circle = bem.make_mesh("unit_circle", 32)
-    back = bem.mesh_from_json(bem.mesh_to_json(circle))
-    assert back.circulant and np.array_equal(back.vertices, circle.vertices)
-    with pytest.raises(ValueError):
-        bem.BoundaryMesh(kind="unit_circle", vertices=circle.vertices * 1.001,
-                         panels=circle.panels)
-    with pytest.raises(ValueError):
-        bem.BoundaryMesh(kind="unit_circle", vertices=circle.vertices,
-                         panels=circle.panels[:, ::-1])
+    prob = bem.ScatteringProblem("unit_circle", "exterior_dtn", "traveling_gaussian", 3.0, 32, 8)
+    for mesh in (bem.BoundaryMesh("unit_circle", lshape.vertices, lshape.panels),
+                 bem.mesh_from_json(edited)):
+        assert mesh.kind == "unit_circle" and not mesh.circulant
+        with pytest.raises(ValueError, match="circulant"):
+            bem.make_mode_transfer(prob, mesh)
+        for op in ("inverse_single_layer", "exterior_dtn"):
+            with pytest.raises(ValueError, match="circulant"):
+                bem.BemTransfer(mesh, op).symbol(1.0)
+
+
+def test_symbol_on_an_off_centre_custom_polygon():
+    # a "custom" 33-gon of radius 2.5 away from the origin takes the
+    # per-mode route, and its symbol acts as the dense solve does
+    mesh = _regular(33, radius=2.5, angle=0.2, centre=(1.5, -4.0))
+    assert mesh.kind == "custom" and mesh.circulant
+    g = np.random.default_rng(7).standard_normal(mesh.n)
+    for op in ("inverse_single_layer", "exterior_dtn"):
+        tf = bem.BemTransfer(mesh, op)
+        for s in (1.0, 7.0):
+            got = np.fft.irfft(tf.symbol(s) * np.fft.rfft(g), mesh.n)
+            want = tf(s) @ g
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (op, s)
 
 
 def test_mesh_must_be_a_positively_oriented_ring():
@@ -117,11 +156,12 @@ def test_degenerate_panel_rejected():
 
 def test_circulant_matches_dense_assembly():
     # assembly does not depend on the mesh kind: a kind-stripped copy of
-    # the circle (no per-mode route) assembles the same matrices
+    # the circle assembles the same matrices, and takes the per-mode route
     mesh = bem.make_mesh("unit_circle", 32)
     plain = bem.BoundaryMesh(
         kind="custom", vertices=mesh.vertices.copy(), panels=mesh.panels.copy()
     )
+    assert plain.circulant
     s = 2.0 + 5.0j
     V1, K1 = bem.assemble_pair(s, mesh)
     V2, K2 = bem.assemble_pair(s, plain)
@@ -151,7 +191,7 @@ def test_symbol_transfer_matches_dense_solve():
             want = dense(s) @ g
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (op, s)
         with pytest.raises(ValueError):
-            dense.symbol(1.0)
+            bem.BemTransfer(bem.make_mesh("l_shape", 32), op).symbol(1.0)
     lam = tf.symbol(np.array([[1.0, 2.0 + 1.0j], [3.0 - 1.0j, 0.5 + 4.0j]]))
     assert lam.shape == (2, 2, 17)
     assert np.array_equal(lam[1, 1], tf.symbol(0.5 + 4.0j))

@@ -190,6 +190,14 @@ _GOOD = dict(experiment="scalar_convergence", N_list=(4, 8), N_ref=16)
     ("radau_iia", 9),
     ("label", "../escaped"),
     ("label", "sub/x"),
+    ("mu", "1"),
+    ("mu", None),
+    ("mu", True),
+    ("T", "3"),
+    ("eps", "1e-16"),
+    ("weights_cache", 5),
+    ("weights_cache", ["a"]),
+    ("weights_cache", ""),
 ])
 def test_config_rejects_bad_fields(field, value):
     # each bad field fails at construction, from_dict and replace alike,
