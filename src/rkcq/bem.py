@@ -35,6 +35,7 @@ a short range of |s| r.  One batched real matmul contracts the values with
 the weights.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -734,6 +735,15 @@ class BemTransfer:
         return out.reshape(sv.shape + (n, n))
 
 
+def _transfer_key(prefix, mesh, operator):
+    """Key of a mesh's TransferFunction: the kind, operator and panel count
+    name it, and a digest of the vertices and panels tells apart two meshes
+    that share all three (custom 33-gons of radius 1 and 2.5, say)."""
+    h = hashlib.sha256(np.ascontiguousarray(mesh.vertices, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(mesh.panels, dtype=np.int64).tobytes())
+    return "%s_%s_%s_%d_%s" % (prefix, mesh.kind, operator, mesh.n, h.hexdigest()[:12])
+
+
 def make_transfer(problem, mesh=None):
     """TransferFunction for the problem's frequency-domain operator: s -> the
     dense n x n matrix on any mesh, for an array of frequencies at once."""
@@ -744,7 +754,7 @@ def make_transfer(problem, mesh=None):
         fn=fn,
         dim=mesh.n,
         sigma0=0.1,
-        key="bem_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
+        key=_transfer_key("bem", mesh, fn.operator),
         conj_symmetric=True,
     )
 
@@ -764,7 +774,7 @@ def make_mode_transfer(problem, mesh):
         fn=fn.symbol,
         dim=1,
         sigma0=0.1,
-        key="bem_modes_%s_%s_%d" % (mesh.kind, fn.operator, mesh.n),
+        key=_transfer_key("bem_modes", mesh, fn.operator),
         conj_symmetric=True,
         lanes=mesh.n // 2 + 1,
     )

@@ -19,10 +19,13 @@ Series and asymptotic sums run to a fixed depth per band.  In every
 asymptotic band the term ratio (2k-1)^2/(8k|z|) stays below 1 up to the
 band's depth, so the fixed depth sums exactly the terms a smallest-term
 truncation would.  Their coefficients are built at import, the Taylor
-table on first use: scipy.special.kv (D. E. Amos, "A portable package for
-Bessel functions of a complex argument", ACM TOMS 12, 1986) at each centre,
-the Bessel equation z^2 f'' + z f' - z^2 f = 0 for the higher terms by
-recurrence.  Real arguments sit on the centre line of a cell row and give
+table on first use: K0 and K1 at each centre are read from the package
+data file _taylor_seeds.npy, the Bessel equation z^2 f'' + z f' - z^2 f = 0
+gives the higher terms by recurrence.  The file holds the values of D. E.
+Amos's code ("A portable package for Bessel functions of a complex
+argument", ACM TOMS 12, 1986) as scipy.special.kv returns them, written
+once by tests/write_taylor_seeds.py, so that importing this module loads
+no scipy.  Real arguments sit on the centre line of a cell row and give
 real values.
 
 Measured against mpmath at 30 digits (relative): the series is within
@@ -36,10 +39,10 @@ functions underflow to exactly 0, which is harmless for exponentially
 decaying kernels.
 """
 
+import os
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.special
 
 __all__ = ["band", "bessel_k0", "bessel_k1", "k0k1"]
 
@@ -116,6 +119,14 @@ def _asym_k(z, orders, terms):
 _CELL = 0.5
 _CELLS = 34
 _TERMS = 18
+# K0(zc) and K1(zc) at the centres, shape (2, _CELLS^2), complex128
+_SEEDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_taylor_seeds.npy")
+
+
+def _taylor_centres():
+    """The cells' centres zc, in the table's column order."""
+    i = np.arange(_CELLS)
+    return ((i[:, None] + 0.5) * _CELL + 1j * _CELL * i[None, :]).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -123,9 +134,10 @@ def _taylor_table():
     """Coefficients a_k, shape (_TERMS, _CELLS^2), of K0(zc + t) = sum a_k t^k.
 
     Column i _CELLS + j belongs to the centre zc = (i + 1/2) _CELL +
-    j _CELL sqrt(-1).  With a_0 = K0(zc) and a_1 = -K1(zc), the Bessel
-    equation z^2 f'' + z f' - z^2 f = 0 in z = zc + t gives, term by term
-    in t^k,
+    j _CELL sqrt(-1).  a_0 = K0(zc) and a_1 = -K1(zc) are the AMOS values
+    stored in _taylor_seeds.npy (see the module docstring); from them the
+    Bessel equation z^2 f'' + z f' - z^2 f = 0 in z = zc + t gives, term by
+    term in t^k,
 
         zc^2 (k+1)(k+2) a_{k+2} = (zc^2 - k^2) a_k - zc (k+1)(2k+1) a_{k+1}
                                   + 2 zc a_{k-1} + a_{k-2}.
@@ -135,11 +147,11 @@ def _taylor_table():
     recurrence stay at the size of the coefficients they perturb.  The
     table is read-only: every caller shares it.
     """
-    i = np.arange(_CELLS)
-    zc = ((i[:, None] + 0.5) * _CELL + 1j * _CELL * i[None, :]).ravel()
+    zc = _taylor_centres()
+    k0, k1 = np.load(_SEEDS)
     a = np.empty((_TERMS, zc.size), dtype=complex)
-    a[0] = scipy.special.kv(0, zc)
-    a[1] = -scipy.special.kv(1, zc)
+    a[0] = k0
+    a[1] = -k1
     z2 = zc * zc
     for k in range(_TERMS - 2):
         acc = (z2 - k * k) * a[k] - zc * ((k + 1) * (2 * k + 1)) * a[k + 1]

@@ -197,11 +197,11 @@ def _weights_identity(key, tab, eps, N, h, shape):
 
 
 @functools.lru_cache(maxsize=None)
-def _source_digest():
-    """SHA-256 of the package's Python sources, read on first use only."""
-    here = os.path.dirname(os.path.abspath(__file__))
+def _source_digest(here=os.path.dirname(os.path.abspath(__file__))):
+    """SHA-256 of the package's Python sources and .npy data files (the
+    Bessel table's seeds) in the directory here, read on first use only."""
     h = hashlib.sha256()
-    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+    for name in sorted(f for f in os.listdir(here) if f.endswith((".py", ".npy"))):
         with open(os.path.join(here, name), "rb") as f:
             h.update(name.encode() + b"\0" + f.read())
     return h.hexdigest()

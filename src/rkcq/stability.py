@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .engine import delta_matrix
 from .tableaux import gauss_tableau
@@ -427,6 +426,21 @@ def stage_order_defect(tableau):
     return StageOrderDefect(m=tableau.m, q=q, C=C)
 
 
+def _legendre_p(n, x):
+    """Legendre P_n(x), n >= 1, on an array x, by the recurrence in the
+    differences d_k = P_k - P_{k-1} that scipy.special.eval_legendre runs
+    for integer n away from x = 0 (and gives its values bit for bit there).
+    At x = 0 it returns the exact P_n(0): 0 for odd n, (-1)^a C(2a, a) / 4^a
+    for n = 2a."""
+    d = x - 1.0
+    p = x
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1.0) * p + (k / (k + 1)) * d
+        p = p + d
+    a, odd = divmod(n, 2)
+    return np.where(x == 0.0, 0.0 if odd else (-1) ** a * math.comb(2 * a, a) / 4**a, p)
+
+
 def cancellation_check(m, roots=None):
     """Max normalized residual of b^T[(I - i r A)^{-1} + (-1)^m (I + i r A)^{-1}] C
     over the theta=0 roots r of the m-stage Gauss method.
@@ -449,7 +463,7 @@ def cancellation_check(m, roots=None):
     # under scaling of C, and this form avoids the catastrophic cancellation
     # of the power-series formula A^{m+1} 1 - c^{m+1}/(m+1)! at large m.
     u = 2.0 * tab.c - 1.0
-    C = (eval_legendre(m + 1, u) - eval_legendre(m - 1, u)).astype(complex)
+    C = (_legendre_p(m + 1, u) - _legendre_p(m - 1, u)).astype(complex)
     I = np.eye(m)
     sign = (-1.0) ** m
     worst = 0.0

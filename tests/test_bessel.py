@@ -198,6 +198,22 @@ def test_table_is_exactly_conjugate_symmetric():
     assert real.sum() == 3 and not k0p[real].imag.any() and not k1p[real].imag.any()
 
 
+def test_stored_seeds_match_amos_at_the_centres():
+    # the table's a_0 = K0(zc), a_1 = -K1(zc) are read from a data file that
+    # scipy's AMOS code wrote; another scipy build may round the last bits
+    # differently, so the bound is 2 ulps of |K|, not bit-identity
+    zc = bessel._taylor_centres()
+    seeds = np.load(bessel._SEEDS)
+    amos = np.stack([sps.kv(0, zc), sps.kv(1, zc)])
+    assert seeds.shape == (2, bessel._CELLS**2) and seeds.dtype == np.complex128
+    ulps = np.abs(seeds - amos) / np.spacing(np.abs(amos))
+    assert ulps.max() <= 2.0, (
+        "src/rkcq/_taylor_seeds.npy is %.1f ulps off scipy.special.kv; rewrite it with "
+        "`python tests/write_taylor_seeds.py`" % ulps.max())
+    table = bessel._taylor_table()
+    assert np.array_equal(table[0], seeds[0]) and np.array_equal(table[1], -seeds[1])
+
+
 def test_table_at_both_sides_of_its_switches():
     # both sides of the table / asymptotic switch |z| = 16.5, at angles
     # across the right half-plane and below the real axis; the switch at

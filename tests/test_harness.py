@@ -2,6 +2,9 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -301,6 +304,21 @@ def test_weights_cache_ignores_files_of_other_sources(tmp_path, monkeypatch):
     assert len(os.listdir(cfg.weights_cache)) == 2
 
 
+def test_source_digest_covers_the_bessel_seeds(tmp_path):
+    # weights cached before a change to the Taylor table's seed file are
+    # not served after it
+    pkg = tmp_path / "rkcq"
+    shutil.copytree(os.path.dirname(harness.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    digest = harness._source_digest.__wrapped__
+    assert digest(str(pkg)) == harness._source_digest()
+    seeds = pkg / "_taylor_seeds.npy"
+    data = bytearray(seeds.read_bytes())
+    data[-1] ^= 1
+    seeds.write_bytes(bytes(data))
+    assert digest(str(pkg)) != harness._source_digest()
+
+
 def test_source_digest_is_read_only_with_a_cache(monkeypatch):
     assert len(harness._source_digest()) == 64
 
@@ -393,3 +411,25 @@ def test_stability_report_structure():
         run_stability_report((0, 2))
     with pytest.raises(ValueError, match="integers"):
         run_stability_report((2.5,))
+
+
+def test_rkcq_runs_without_scipy():
+    # importing rkcq, a scalar cell, an L-shape assembly that reaches every
+    # Bessel regime (the Taylor table among them) and a stability report
+    # load no scipy module: the table's seeds are a package data file and
+    # the Legendre values are computed in-house
+    code = """
+import sys
+import numpy as np
+from rkcq import bem, bessel, harness
+harness.run_scalar_convergence(
+    harness.ExperimentConfig("scalar_convergence", N_list=(4, 8), N_ref=16))
+bem.assemble_pair(np.array([1.0, 7.0 + 3.0j, 60.0]), bem.make_mesh("l_shape", 32))
+harness.run_stability_report([3])
+assert bessel._taylor_table.cache_info().currsize == 1
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from rkcq import harness, stability
 from rkcq.stability import (
+    _legendre_p,
     _polished_roots,
     beta_coefficient,
     beta_from_residue,
@@ -275,6 +277,22 @@ def test_theta0_roots_are_solved_once_per_report(monkeypatch):
     monkeypatch.setattr(stability, "solve_R_equals", lambda m, w: solved.append(w) or real(m, w))
     harness.run_stability_report([4, 5])
     assert sum(np.ndim(w) == 0 and w == 1.0 for w in solved) == 2
+
+
+def test_legendre_matches_scipy_at_the_gauss_nodes():
+    # the in-house P_n runs scipy's recurrence: bit for bit at every Gauss
+    # node the cancellation check uses, but the middle node x = 0 of odd m,
+    # where it returns the exact value (scipy's small-|x| branch rounds
+    # P_2(0) to -0.5000000000000001)
+    for m in range(2, 13):
+        u = 2.0 * gauss_tableau(m).c - 1.0
+        mid = u == 0.0
+        assert mid.sum() == m % 2, m
+        for n in (m - 1, m + 1):
+            got = _legendre_p(n, u)
+            assert np.array_equal(got[~mid], scipy.special.eval_legendre(n, u[~mid])), (m, n)
+            exact = (-1) ** (n // 2) * math.comb(n, n // 2) / 2.0**n  # n = m +- 1 is even
+            assert np.array_equal(got[mid], np.full(mid.sum(), exact)), (m, n)
 
 
 def test_cancellation_residual_small_odd_and_even():
