@@ -15,7 +15,6 @@ import json
 import os
 import re
 import time
-import warnings
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -45,8 +44,9 @@ from .tableaux import (
 __all__ = [
     "ExperimentConfig",
     "ConvergenceReport",
-    "run_scalar_convergence",
-    "run_bem_convergence",
+    "run_convergence",
+    "reference_solution",
+    "reference_key",
     "run_stability_report",
     "preset_configs",
     "run_table",
@@ -115,6 +115,8 @@ class ExperimentConfig:
             if value not in known:
                 bad(name, "unknown %s, choose from %s" % (name, ", ".join(known)))
             object.__setattr__(self, name, value)
+        if self.experiment == "scalar_convergence" and self.datum != "sin_pow_exp":
+            bad("datum", "scalar convergence runs use the sin_pow_exp datum")
         tableau = _FAMILIES[self.family]
         if not (_is_int(self.m) and 1 <= self.m <= _MAX_STAGES[tableau]):
             bad("m", "the stage count must be an integer in [1, %d]" % _MAX_STAGES[tableau])
@@ -248,42 +250,6 @@ def _weights(cfg, K, tab, h, N):
     return wset
 
 
-def run_scalar_convergence(cfg):
-    """Relative discrete l2 error of CQ for K_mu against a fine reference.
-
-    The reference is the 3-stage Gauss solution at N_ref steps: its own
-    error is orders of magnitude below every coarse run, so measured errors
-    reflect the method under study even where it does not converge (a
-    self-reference at equal stage count would hide stagnation).
-    """
-    if cfg.datum != "sin_pow_exp":
-        raise ValueError("scalar convergence runs use the sin_pow_exp datum")
-    tab = _FAMILIES[cfg.family](cfg.m)
-    K = kmu_transfer(cfg.mu)
-    t0 = time.perf_counter()
-    uref = scalar_reference_solution(K, sin_pow_exp, cfg.T, cfg.N_ref, gauss_tableau(3), eps=cfg.eps)
-    errors = []
-    for N in cfg.N_list:
-        h = cfg.T / N
-        wset = _weights(cfg, K, tab, h, N)
-        u = apply_cq(wset, sample_stage_signal(sin_pow_exp, h, N, tab.c))
-        ur = uref[:: cfg.N_ref // N]
-        errors.append(float(np.linalg.norm(u - ur) / np.linalg.norm(ur)))
-    rows = _attach_eocs(cfg.N_list, errors)
-    return ConvergenceReport(cfg, rows, {"wall_time_s": time.perf_counter() - t0})
-
-
-def _bem_stage_samples(datum_fn, mesh, tab, h, N):
-    t = np.arange(N + 1) * h
-    ts = t[:, None] + tab.c[None, :] * h
-    out = np.asarray(datum_fn(mesh.mid, ts[..., None]), dtype=float)
-    if out.shape != (N + 1, tab.m, mesh.n):
-        out = np.broadcast_to(out, (N + 1, tab.m, mesh.n)).copy()
-    if np.max(np.abs(np.asarray(datum_fn(mesh.mid, 0.0)))) > 1e-12:
-        warnings.warn("boundary datum does not vanish at t=0; CQ error bounds degrade")
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _shared_mesh(geometry, n_panels):
     # one mesh per (geometry, n_panels), so a reference and its cells share
@@ -291,10 +257,13 @@ def _shared_mesh(geometry, n_panels):
     return make_mesh(geometry, n_panels)
 
 
-def _bem_setup(cfg):
-    """Mesh and transfer function of a cell: the per-mode (diagonal) kernel
-    where the mesh's pair plan finds it circulant (BoundaryMesh.circulant;
-    the circle, not the L-shape), the dense matrix kernel otherwise."""
+def _cell_kernel(cfg):
+    """Mesh and transfer function of a cell: no mesh and K_mu for a scalar
+    cell; on a mesh the per-mode (diagonal) kernel where the mesh's pair
+    plan finds it circulant (BoundaryMesh.circulant; the circle, not the
+    L-shape), the dense matrix kernel otherwise."""
+    if cfg.experiment == "scalar_convergence":
+        return None, kmu_transfer(cfg.mu)
     mesh = _shared_mesh(cfg.geometry, cfg.n_panels)
     problem = ScatteringProblem(cfg.geometry, cfg.operator, cfg.datum, cfg.T, cfg.n_panels,
                                 cfg.N_ref)
@@ -302,62 +271,70 @@ def _bem_setup(cfg):
     return mesh, make(problem, mesh)
 
 
-def _bem_traces(wset, samples):
-    """Panel-space grid traces (N+1, n) from stage samples (N+1, m, n).
-
-    Per-mode weights act on the real FFT of the samples along the panel
-    axis, and the traces come back through the inverse transform.
-    """
+def _traces(cfg, mesh, K, tab, N):
+    """Grid traces (N+1,), or (N+1, n) at the panel midpoints of a mesh, of
+    K(d/dt) applied to the cell's datum by tableau tab at N steps.  Per-mode
+    weights act on the real FFT of the samples along the panel axis."""
+    h = cfg.T / N
+    wset = _weights(cfg, K, tab, h, N)
+    if mesh is None:
+        return apply_cq(wset, sample_stage_signal(sin_pow_exp, h, N, tab.c))
+    datum = DATA[cfg.datum]
+    g = sample_stage_signal(lambda t: datum(mesh.mid, np.asarray(t)[..., None]), h, N, tab.c)
+    g = np.broadcast_to(g, (N + 1, tab.m, mesh.n))
     if wset.W.ndim == 4:
-        modes = apply_cq(wset, np.fft.rfft(samples, axis=-1))
-        return np.fft.irfft(modes, n=samples.shape[-1], axis=-1)
-    return apply_cq(wset, samples)
+        return np.fft.irfft(apply_cq(wset, np.fft.rfft(g, axis=-1)), n=mesh.n, axis=-1)
+    return apply_cq(wset, g)
 
 
-def bem_reference_key(cfg):
-    """Cells that may share one reference solution agree on this key."""
-    return (cfg.geometry, cfg.operator, cfg.datum, cfg.T, cfg.N_ref, cfg.n_panels, cfg.eps)
+def reference_key(cfg):
+    """Cells that may share one reference solution agree on this key: every
+    field but the method under study (family, m), the grids, the label and
+    the weights cache; mu only matters without a mesh."""
+    key = (cfg.experiment, cfg.geometry, cfg.operator, cfg.datum, cfg.T, cfg.N_ref,
+           cfg.n_panels, cfg.eps)
+    return key + (cfg.mu,) if cfg.experiment == "scalar_convergence" else key
 
 
-def bem_reference_solution(cfg):
+def reference_solution(cfg):
     """Grid traces of the 3-stage Gauss solution at N_ref steps.
 
-    Gauss-3 doubles as the reference because its contour frequencies stay
-    below ~5 N_ref / T in modulus before turning into the heavily damped
-    Re s > 30 region, which keeps the frequency-adaptive assembly cheap;
-    higher-stage methods sweep much larger |s| at small Re s for the same
-    accuracy return.  At N_ref the time error sits two orders below the
-    coarsest-grid errors under study.
+    Its error sits orders of magnitude below every coarse run, so errors
+    reflect the method under study even where it stagnates (a
+    self-reference would hide that).  On a mesh its contour frequencies
+    stay below ~5 N_ref / T in modulus before turning into the damped
+    Re s > 30 region, which keeps the frequency-adaptive assembly cheap.
     """
-    mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[cfg.datum]
-    ref_tab = gauss_tableau(3)
-    h_ref = cfg.T / cfg.N_ref
-    wref = _weights(cfg, K, ref_tab, h_ref, cfg.N_ref)
-    return _bem_traces(wref, _bem_stage_samples(datum_fn, mesh, ref_tab, h_ref, cfg.N_ref))
+    mesh, K = _cell_kernel(cfg)
+    if mesh is None:
+        return scalar_reference_solution(K, sin_pow_exp, cfg.T, cfg.N_ref, gauss_tableau(3),
+                                         eps=cfg.eps)
+    return _traces(cfg, mesh, K, gauss_tableau(3), cfg.N_ref)
 
 
-def run_bem_convergence(cfg, reference=None):
-    """Time-domain boundary-density convergence in the energy-norm metric.
-
-    The reference is the 3-stage Gauss solution at N_ref steps on the same
-    mesh (precomputed traces can be passed in so runs differing only in the
-    method under study share one reference); all coarse grids must divide
-    the reference grid so traces compare at shared time nodes.
-    """
+def run_convergence(cfg, reference=None):
+    """Error and EOC of one cell against the reference solution (passed in
+    when cells share one): relative discrete l2 without a mesh, the
+    energy-norm metric on one.  Every grid divides N_ref, so traces compare
+    at shared time nodes."""
     tab = _FAMILIES[cfg.family](cfg.m)
-    mesh, K = _bem_setup(cfg)
-    datum_fn = DATA[cfg.datum]
+    mesh, K = _cell_kernel(cfg)
     t0 = time.perf_counter()
-    uref = bem_reference_solution(cfg) if reference is None else reference
+    uref = reference_solution(cfg) if reference is None else reference
     errors = []
     for N in cfg.N_list:
-        h = cfg.T / N
-        wset = _weights(cfg, K, tab, h, N)
-        u = _bem_traces(wset, _bem_stage_samples(datum_fn, mesh, tab, h, N))
-        errors.append(error_metric(u, uref[:: cfg.N_ref // N], h, mesh))
+        u, ur = _traces(cfg, mesh, K, tab, N), uref[:: cfg.N_ref // N]
+        if mesh is None:
+            errors.append(float(np.linalg.norm(u - ur) / np.linalg.norm(ur)))
+        else:
+            errors.append(error_metric(u, ur, cfg.T / N, mesh))
     rows = _attach_eocs(cfg.N_list, errors)
     return ConvergenceReport(cfg, rows, {"wall_time_s": time.perf_counter() - t0})
+
+
+# the names the benchmark's rounds call and its tracer wraps
+run_scalar_convergence = run_bem_convergence = run_convergence
+bem_reference_solution = reference_solution
 
 
 def _jsonable(x):
@@ -458,28 +435,34 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_cell(out_dir, fname, label, report):
-    """Write a cell's CSV and return its index record."""
-    _write_atomic(os.path.join(out_dir, fname), report.to_csv())
-    return {
-        "label": label,
-        "file": fname,
-        "config": report.config.to_dict(),
-        "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
-        "wall_time_s": round(report.meta.get("wall_time_s", 0.0), 3),
-    }
-
-
-def _run_cell(cfg, reference=None):
-    if cfg.experiment == "scalar_convergence":
-        return run_scalar_convergence(cfg)
-    return run_bem_convergence(cfg, reference=reference)
-
-
 def _with_overrides(cfg, **over):
     """cfg with every override that is not None.  replace() validates, so a
     bad override fails before any reference solve starts."""
     return replace(cfg, **{k: v for k, v in over.items() if v is not None})
+
+
+def _run_and_write(cfgs, out_dir, prefix, stem, index):
+    """Run cells in order, one reference per reference_key, and write each
+    cell's CSV prefix<label>.csv and the index stem_index.json.  A cell's
+    wall_time_s excludes the reference (the index's reference_wall_time_s)."""
+    os.makedirs(out_dir, exist_ok=True)
+    cells, refs, ref_seconds = [], {}, 0.0
+    for cfg in cfgs:
+        key = reference_key(cfg)
+        if key not in refs:
+            t0 = time.perf_counter()
+            refs[key] = reference_solution(cfg)
+            ref_seconds += time.perf_counter() - t0
+        report = run_convergence(cfg, reference=refs[key])
+        label = cfg.label or cfg.experiment
+        fname = prefix + label + ".csv"
+        _write_atomic(os.path.join(out_dir, fname), report.to_csv())
+        cells.append({"label": label, "file": fname, "config": cfg.to_dict(),
+                      "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
+                      "wall_time_s": round(report.meta["wall_time_s"], 3)})
+    index.update(cells=cells, reference_wall_time_s=round(ref_seconds, 3))
+    _write_atomic(os.path.join(out_dir, "%s_index.json" % stem), json.dumps(index, indent=2))
+    return index
 
 
 def run_table(table, out_dir, panels=None, nref=None, weights_cache=None):
@@ -487,33 +470,10 @@ def run_table(table, out_dir, panels=None, nref=None, weights_cache=None):
     cfgs = [_with_overrides(cfg, N_ref=nref, weights_cache=weights_cache,
                            n_panels=panels if cfg.experiment == "bem_convergence" else None)
             for cfg in preset_configs(table)]
-    os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    refs = {}
-    ref_seconds = 0.0
-    for cfg in cfgs:
-        reference = None
-        if cfg.experiment == "bem_convergence":
-            key = bem_reference_key(cfg)
-            if key not in refs:
-                t0 = time.perf_counter()
-                refs[key] = bem_reference_solution(cfg)
-                ref_seconds += time.perf_counter() - t0
-            reference = refs[key]
-        report = _run_cell(cfg, reference=reference)
-        cells.append(_write_cell(out_dir, "%s_%s.csv" % (table, cfg.label), cfg.label, report))
-    index = {"table": table, "cells": cells}
-    if ref_seconds:
-        index["reference_wall_time_s"] = round(ref_seconds, 3)
-    _write_atomic(os.path.join(out_dir, "%s_index.json" % table), json.dumps(index, indent=2))
-    return index
+    return _run_and_write(cfgs, out_dir, table + "_", table, {"table": table})
 
 
 def run_config(cfg, out_dir):
     """Run one convergence cell (the `run <config.json>` entry point) and
     write its CSV and index JSON."""
-    os.makedirs(out_dir, exist_ok=True)
-    label = cfg.label or cfg.experiment
-    index = {"cells": [_write_cell(out_dir, "%s.csv" % label, label, _run_cell(cfg))]}
-    _write_atomic(os.path.join(out_dir, "%s_index.json" % label), json.dumps(index, indent=2))
-    return index
+    return _run_and_write([cfg], out_dir, "", cfg.label or cfg.experiment, {})

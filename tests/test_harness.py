@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rkcq import bem, harness
+from rkcq import bem, engine, harness
 from rkcq.engine import TransferFunction, compute_weights, load_weights, save_weights
-from rkcq.kernels import kmu_transfer
+from rkcq.kernels import kmu_transfer, sin_pow_exp
 from rkcq.tableaux import gauss_tableau
 from rkcq.harness import (
     ConvergenceReport,
@@ -21,10 +22,14 @@ from rkcq.harness import (
     _attach_eocs,
     _mu_label,
     preset_configs,
+    reference_key,
+    reference_solution,
     run_config,
-    run_scalar_convergence,
+    run_convergence,
     run_stability_report,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_config_from_dict_roundtrip():
@@ -112,7 +117,7 @@ def test_preset_structure():
 def test_scalar_convergence_runs_and_converges():
     cfg = ExperimentConfig("scalar_convergence", "gauss", 2, 0.0,
                            N_list=(8, 16, 32), N_ref=128)
-    rep = run_scalar_convergence(cfg)
+    rep = run_convergence(cfg)
     errs = [e for _, e, _ in rep.rows]
     assert errs[0] > errs[1] > errs[2]
     assert rep.rows[2][2] > 1.0
@@ -120,12 +125,11 @@ def test_scalar_convergence_runs_and_converges():
 
 
 def test_scalar_convergence_validates_grids_and_datum():
+    # both faults fail at construction, so no cell ever starts with them
     with pytest.raises(ValueError, match="divide"):
-        run_scalar_convergence(ExperimentConfig("scalar_convergence", N_list=(3,), N_ref=8))
-    bad2 = ExperimentConfig("scalar_convergence", N_list=(4,), N_ref=8,
-                            datum="traveling_gaussian")
-    with pytest.raises(ValueError, match="sin_pow_exp"):
-        run_scalar_convergence(bad2)
+        ExperimentConfig("scalar_convergence", N_list=(3,), N_ref=8)
+    with pytest.raises(ValueError, match="field datum=.*sin_pow_exp"):
+        ExperimentConfig("scalar_convergence", N_list=(4,), N_ref=8, datum="traveling_gaussian")
 
 
 def test_run_table_checks_grids_before_reference(tmp_path, monkeypatch):
@@ -134,7 +138,7 @@ def test_run_table_checks_grids_before_reference(tmp_path, monkeypatch):
     def no_reference(cfg):
         raise AssertionError("reference solved before the grids were checked")
 
-    monkeypatch.setattr(harness, "bem_reference_solution", no_reference)
+    monkeypatch.setattr(harness, "reference_solution", no_reference)
     with pytest.raises(ValueError, match="divide"):
         harness.run_table("table4", str(tmp_path / "out"), panels=16, nref=20)
     assert not (tmp_path / "out").exists()
@@ -146,7 +150,7 @@ def test_run_config_checks_tableau_before_reference(tmp_path, monkeypatch, famil
     def no_reference(cfg):
         raise AssertionError("reference solved before the tableau was built")
 
-    monkeypatch.setattr(harness, "bem_reference_solution", no_reference)
+    monkeypatch.setattr(harness, "reference_solution", no_reference)
     with pytest.raises(ValueError, match="family|stage count"):
         cfg = ExperimentConfig("bem_convergence", family, m, geometry="l_shape",
                                operator="exterior_dtn", datum="traveling_gaussian",
@@ -230,8 +234,8 @@ def test_config_stores_canonical_names():
                              operator="inverse_single_layer", datum="traveling_gaussian",
                              N_list=(7,), N_ref=21)
     assert loose == canon
-    assert harness.bem_reference_key(loose) == harness.bem_reference_key(canon)
-    assert harness._bem_setup(loose)[0] is harness._bem_setup(canon)[0]
+    assert reference_key(loose) == reference_key(canon)
+    assert harness._cell_kernel(loose)[0] is harness._cell_kernel(canon)[0]
     d = loose.to_dict()
     assert [d[k] for k in ("family", "geometry", "operator", "datum")] == [
         "radau_iia", "unit_circle", "inverse_single_layer", "traveling_gaussian"]
@@ -248,10 +252,10 @@ def test_weights_cache_reuse(tmp_path):
     cache = str(tmp_path / "wcache")
     cfg = ExperimentConfig("scalar_convergence", "gauss", 2, 0.0,
                            N_list=(8,), N_ref=32, weights_cache=cache)
-    r1 = run_scalar_convergence(cfg)
+    r1 = run_convergence(cfg)
     files = sorted(os.listdir(cache))
     assert files and all(f.endswith(".npz") for f in files)
-    r2 = run_scalar_convergence(cfg)
+    r2 = run_convergence(cfg)
     assert r1.rows[0][1] == r2.rows[0][1]
     assert sorted(os.listdir(cache)) == files
 
@@ -346,14 +350,15 @@ def test_circle_cells_use_the_mode_kernel():
     cfg = ExperimentConfig("bem_convergence", "gauss", 3, geometry="unit_circle",
                            operator="exterior_dtn", datum="traveling_gaussian", T=1.0,
                            N_list=(4,), N_ref=8, n_panels=16, eps=1e-16)
-    mesh, K = harness._bem_setup(cfg)
+    mesh, K = harness._cell_kernel(cfg)
     assert K.lanes == 9 and K.key.startswith("bem_modes_")
     problem = bem.ScatteringProblem("unit_circle", "exterior_dtn", "traveling_gaussian", 1.0, 16, 8)
     dense = bem.make_transfer(problem, mesh)
     tab, h = gauss_tableau(3), cfg.T / cfg.N_ref
-    g = harness._bem_stage_samples(harness.DATA["traveling_gaussian"], mesh, tab, h, cfg.N_ref)
+    ts = (np.arange(cfg.N_ref + 1)[:, None] + tab.c[None, :]) * h
+    g = harness.DATA["traveling_gaussian"](mesh.mid, ts[..., None])
     want = harness.apply_cq(compute_weights(dense, tab, h, cfg.N_ref, eps=cfg.eps), g)
-    got = harness.bem_reference_solution(cfg)
+    got = reference_solution(cfg)
     assert got.shape == want.shape == (9, 16)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -369,10 +374,55 @@ def test_reference_and_cells_share_one_pair_plan(monkeypatch):
                              operator="exterior_dtn", datum="traveling_gaussian", T=1.0,
                              N_list=(2, 4), N_ref=4, n_panels=12, eps=1e-16)
             for fam in ("gauss", "radau_iia")]
-    reference = harness.bem_reference_solution(cfgs[0])
+    reference = reference_solution(cfgs[0])
     for cfg in cfgs:
-        harness.run_bem_convergence(cfg, reference=reference)
+        run_convergence(cfg, reference=reference)
     assert len(built) == 1
+
+
+def test_scalar_reference_is_the_engine_reference():
+    # a scalar cell's reference is engine.scalar_reference_solution, bit for bit
+    cfg = preset_configs("table2")[1]
+    want = engine.scalar_reference_solution(kmu_transfer(cfg.mu), sin_pow_exp, cfg.T, cfg.N_ref,
+                                            gauss_tableau(3), eps=cfg.eps)
+    assert reference_solution(cfg).tobytes() == want.tobytes()
+
+
+def test_reference_keys_ignore_the_method_only():
+    # the table4 Gauss-3 and Radau IIA-3 cells share one reference; the
+    # table2 cells differ in mu, so each has its own
+    gauss3, radau3 = preset_configs("table4")
+    assert (gauss3.family, radau3.family) == ("gauss", "radau_iia")
+    assert reference_key(gauss3) == reference_key(radau3)
+    assert len({reference_key(cfg) for cfg in preset_configs("table2")}) == 3
+    assert reference_key(gauss3) != reference_key(replace(gauss3, n_panels=32))
+
+
+def test_run_table_computes_one_reference_per_key(tmp_path, monkeypatch):
+    keys = []
+    solve = harness.reference_solution
+    monkeypatch.setattr(harness, "reference_solution",
+                        lambda cfg: keys.append(reference_key(cfg)) or solve(cfg))
+    index = harness.run_table("table1", str(tmp_path))
+    assert len(keys) == len(set(keys)) == 3
+    assert index["reference_wall_time_s"] >= 0
+    assert all(cell["wall_time_s"] >= 0 for cell in index["cells"])
+
+
+@pytest.mark.parametrize("cfg", preset_configs("table1"), ids=lambda cfg: cfg.label)
+def test_run_config_writes_the_golden_table1_bytes(tmp_path, cfg):
+    # one preset cell run on its own computes its own reference and writes
+    # the CSV bytes of the preset run
+    index = run_config(cfg, str(tmp_path))
+    name = index["cells"][0]["file"]
+    assert name == cfg.label + ".csv"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / ("table1_" + name)).read_bytes()
+    assert sorted(index) == ["cells", "reference_wall_time_s"]
+
+
+def test_benchmark_names_alias_the_one_cell_path():
+    assert harness.run_scalar_convergence is harness.run_bem_convergence is run_convergence
+    assert harness.bem_reference_solution is reference_solution
 
 
 def test_run_config_writes_csv_and_index(tmp_path):
@@ -422,7 +472,7 @@ def test_rkcq_runs_without_scipy():
 import sys
 import numpy as np
 from rkcq import bem, bessel, harness
-harness.run_scalar_convergence(
+harness.run_convergence(
     harness.ExperimentConfig("scalar_convergence", N_list=(4, 8), N_ref=16))
 bem.assemble_pair(np.array([1.0, 7.0 + 3.0j, 60.0]), bem.make_mesh("l_shape", 32))
 harness.run_stability_report([3])
