@@ -11,8 +11,9 @@ as matrix-valued transfer functions for the convolution-quadrature engine
 (M is the panel-length mass matrix; inputs are panel-midpoint samples).
 
 Quadrature: a closed-form treatment of the log singularity on the
-diagonal, and a tensor-product rule for every other pair: Gauss-Legendre
-on each panel for well-separated pairs, and the tensor square of a rule
+diagonal, and for every other pair the tensor product of one 1-D rule on
+[0, 1] laid along both panels (Sauter & Schwab, Boundary Element Methods,
+2011, ch. 5): Gauss-Legendre from a to b for well-separated pairs, a rule
 graded geometrically toward the shared vertex for panels that touch.  One
 order rule (_gl_orders) sets both from the oscillation of e^{-s r} along a
 panel or a graded cell.  Pairs whose kernel is below e^-60 everywhere are
@@ -26,10 +27,11 @@ BemTransfer.symbol returns the transfer operator's eigenvalues on the
 real-FFT lanes.
 
 Assembly takes an array of frequencies in one pass over the pair plan.
-Each rule's s-independent geometry (distances, weight products and the
-double layer's normal factors, _tensor_rule) is built once and serves
-every frequency that needs that rule.  For each frequency, a rule's
-arguments s R go to K0/K1 in one call, which splits them by band
+A planner (_quadrature_plan) groups the pairs of both kinds by the rule
+each frequency needs; each rule's s-independent geometry (distances,
+weight products and the double layer's normal factors, _tensor_rule) is
+built once and serves every frequency that needs it.  For each frequency,
+a rule's arguments s R go to K0/K1 in one call, which splits them by band
 (rkcq.bessel); far pairs are stored nearest first, so a block of them spans
 a short range of |s| r.  One batched real matmul contracts the values with
 the weights.
@@ -150,7 +152,6 @@ class BoundaryMesh:
                              "got signed area %g" % area)
         t = d / self.length[:, None]
         self.normal = np.column_stack([t[:, 1], -t[:, 0]])
-        self._gl = {}
         self._v1 = None
         self._plan = None
 
@@ -166,16 +167,6 @@ class BoundaryMesh:
         same for kmap, and kmap[0, d] == kmap[0, -d % n].  Every regular
         polygon passes, up to the plan's 1e-10 clustering of coordinates."""
         return self.pair_plan().circulant
-
-    def gl_points(self, order=8):
-        """order-point Gauss-Legendre nodes and weights on every panel."""
-        got = self._gl.get(order)
-        if got is None:
-            xg, wg = _rule01(order)
-            P = self.a[:, None, :] + xg[None, :, None] * (self.b - self.a)[:, None, :]
-            W = wg[None, :] * self.length[:, None]
-            got = self._gl[order] = (P, W)
-        return got
 
     def v_one(self):
         """Cached V(1), the norm-equivalence Gram matrix."""
@@ -386,20 +377,29 @@ def _congruence_maps(mesh):
     return vmap, kmap
 
 
-def _touching_geometry(mesh, i, j):
-    """Shared vertex v, far ends fi and fj, normals ni and nj and the
-    lengths of the touching pairs (i, j), i < j: on the mesh's ring, panel j
-    starts where panel i ends, or (i, j) = (0, n - 1) and panel i starts
-    where panel j ends."""
-    f = (j == i + 1)[:, None]
-    v = np.where(f, mesh.b[i], mesh.a[i])
-    fi = np.where(f, mesh.a[i], mesh.b[i])
-    fj = np.where(f, mesh.b[j], mesh.a[j])
-    return v, fi, fj, mesh.normal[i], mesh.normal[j], mesh.length[i], mesh.length[j]
+# where a 1-D rule (t, w) on [0, 1] lies along one side of a pair: points
+# o + t d and weights w l on a panel of length l and normal n
+_SIDE = np.dtype([("o", float, 2), ("d", float, 2), ("l", float), ("n", float, 2)])
 
 
-def _point_segment_distance(p, a, d, dd):
-    t = np.clip(np.einsum("kd,kd->k", p - a, d) / dd, 0.0, 1.0)
+def _sides(mesh, i, j, touching):
+    """The (p, 2) _SIDE array of the pairs (i, j), i < j, over the sides i
+    and j.  A far pair's rules run from a to b.  A touching pair's run from
+    the shared vertex to each far end: on the mesh's ring, panel j starts
+    where panel i ends, or (i, j) = (0, n - 1) and panel i starts where
+    panel j ends."""
+    sides = np.empty((i.size, 2), dtype=_SIDE)
+    f = j == i + 1
+    for side, p, rev in zip(sides.T, (i, j), (f & touching, ~f & touching)):
+        side["o"] = np.where(rev[:, None], mesh.b[p], mesh.a[p])
+        side["d"] = np.where(rev[:, None], mesh.a[p], mesh.b[p]) - side["o"]
+        side["l"], side["n"] = mesh.length[p], mesh.normal[p]
+    return sides
+
+
+def _point_segment_distance(p, a, b):
+    d = b - a
+    t = np.clip(np.einsum("kd,kd->k", p - a, d) / np.einsum("kd,kd->k", d, d), 0.0, 1.0)
     return np.linalg.norm(a + t[:, None] * d - p, axis=1)
 
 
@@ -411,30 +411,10 @@ def _pair_r_bounds(mesh, iu, ju):
     four clamped point-segment distances cover it.  The maximum is always
     at a corner pair.
     """
-    a1, b1 = mesh.a[iu], mesh.b[iu]
-    a2, b2 = mesh.a[ju], mesh.b[ju]
-    d1, d2 = b1 - a1, b2 - a2
-    dd1 = np.einsum("kd,kd->k", d1, d1)
-    dd2 = np.einsum("kd,kd->k", d2, d2)
-    corner = np.stack(
-        [
-            np.linalg.norm(a1 - a2, axis=1),
-            np.linalg.norm(a1 - b2, axis=1),
-            np.linalg.norm(b1 - a2, axis=1),
-            np.linalg.norm(b1 - b2, axis=1),
-        ]
-    )
-    rmax = corner.max(axis=0)
-    rmin = np.minimum(
-        np.minimum(
-            _point_segment_distance(a1, a2, d2, dd2),
-            _point_segment_distance(b1, a2, d2, dd2),
-        ),
-        np.minimum(
-            _point_segment_distance(a2, a1, d1, dd1),
-            _point_segment_distance(b2, a1, d1, dd1),
-        ),
-    )
+    i, j = (mesh.a[iu], mesh.b[iu]), (mesh.a[ju], mesh.b[ju])
+    rmax = np.max([np.linalg.norm(p - q, axis=1) for p in i for q in j], axis=0)
+    rmin = np.min([_point_segment_distance(p, *seg) for seg, ends in ((j, i), (i, j))
+                   for p in ends], axis=0)
     return rmin, rmax
 
 
@@ -445,7 +425,7 @@ class _PairPlan:
     computed once per frequency, on its representative (r, q), as V_rq,
     Kd_rq and Kd_qr, and every matrix entry is gathered from them through
     vmap and kmap.  The classes split by kind into the diagonal (panel
-    lengths), touching pairs (_touching_geometry) and far pairs (minimum
+    lengths), touching pairs (_sides) and far pairs (_sides, minimum
     distance and the effective length that sets the quadrature order),
     stored nearest first.  circulant is BoundaryMesh.circulant.
     """
@@ -466,14 +446,14 @@ class _PairPlan:
         self.diag = np.flatnonzero(diag)
         self.diag_length = mesh.length[ri[diag]]
         self.touch = np.flatnonzero(touch)
-        self.touch_geometry = _touching_geometry(mesh, ri[touch], rj[touch])
+        self.touch_sides = _sides(mesh, ri[touch], rj[touch], True)
         rmin, rmax = _pair_r_bounds(mesh, ri[far], rj[far])
         # nearest first: a chunk of far pairs then spans a short range of
         # |s| r at every frequency, so K0/K1 blocks mostly lie in one band
         order = np.argsort(rmin, kind="stable")
         self.far, self.rmin, rmax = far[order], rmin[order], rmax[order]
-        self.far_i, self.far_j = ri[self.far], rj[self.far]
-        lmax = np.maximum(mesh.length[self.far_i], mesh.length[self.far_j])
+        self.far_sides = _sides(mesh, ri[self.far], rj[self.far], False)
+        lmax = self.far_sides["l"].max(axis=1)
         # the kernel phase along one panel varies with r, whose total
         # variation at fixed y is bounded both by the panel length and by
         # twice the pair's radial spread, so pairs that face each other
@@ -495,14 +475,17 @@ class _TensorRule(NamedTuple):
     D: Optional[np.ndarray]
 
 
-def _tensor_rule(Pi, Wi, Pj, Wj, ni, nj, with_kd):
-    """_TensorRule of the pairs (i, j) whose rule is the tensor product of
-    one on panel i (points Pi (p, g, 2), weights Wi (p, g)) and one on
-    panel j (Pj (p, h, 2), Wj (p, h)); ni and nj are the (p, 2) panel
-    normals.  R is symmetric, so one K0/K1 evaluation serves V and both Kd
+def _tensor_rule(sides, t, w, with_kd):
+    """_TensorRule of the pairs whose (p, 2) _sides carry the 1-D rule
+    (t, w) on [0, 1]: points x = o + t d with weights w l on panel i, y on
+    panel j the same way, and the tensor product of the two over the pair.
+    R is symmetric, so one K0/K1 evaluation serves V and both Kd
     orientations (they differ just in which panel's normal enters the dot
     factor and in the sign of the difference vector).
     """
+    P = sides["o"][:, :, None, :] + t[:, None] * sides["d"][:, :, None, :]
+    W = w * sides["l"][:, :, None]
+    (Pi, Pj), (Wi, Wj), (ni, nj) = (a.swapaxes(0, 1) for a in (P, W, sides["n"]))
     dx = Pj[:, None, :, 0] - Pi[:, :, None, 0]
     dy = Pj[:, None, :, 1] - Pi[:, :, None, 1]
     R = np.sqrt(dx * dx + dy * dy)
@@ -544,63 +527,54 @@ def _rule_values(s, rule, sel, with_kd):
 _DEAD_EXPONENT = 60.0
 
 
-def _rules(s, mesh, plan, with_kd):
-    """The off-diagonal classes as tensor rules, each built once for every
-    frequency of the flat array s that needs it: (classes, rule, uses),
-    uses a list of (f, sel), frequency s[f] taking the rule's pairs sel
-    (a slice or an index array).
+def _quadrature_plan(s, plan):
+    """The off-diagonal classes' rules for the flat frequency array s,
+    without their geometry: entries (kind, pairs, (t, w), uses), kind
+    "touch" or "far", pairs positions in plan.touch or plan.far and (t, w)
+    the 1-D rule on [0, 1] laid along both sides of each pair (_sides).
+    uses is a list of (f, sel): frequency s[f] takes the pairs pairs[sel]
+    (sel a slice or an index array).
 
-    The touching classes come first, one rule per graded-order tuple.
-    Their rule is the tensor square of the graded rule toward the shared
-    vertex vx: x = vx + t (fi - vx) on panel i and y = vx + t (fj - vx) on
-    panel j, with weights w li and w lj, every graded cell taking its order
-    from its width on the longest touching panel (not rounded: the graded
-    rule is not converged at its lowest orders, and 9 -> 10 moves touching
-    Kd entries by up to 1.2e-7 relative).  The far classes follow, grouped
-    by Gauss-Legendre order, rounded up to even to halve the mesh's cache
-    of panel points: for each order, the pairs that any frequency needs at
-    it, in chunks, nearest first.  A frequency leaves out the pairs beyond
-    its dead exponent, which keep their zeros.
+    Each frequency gives every pair a key, and each key one rule.  A
+    touching pair's key is the frequency's graded-order tuple, every graded
+    cell taking its order from its width on the longest touching panel
+    (not rounded: the graded rule is not converged at its lowest orders,
+    and 9 -> 10 moves touching Kd entries by up to 1.2e-7 relative).  A
+    far pair's key is its Gauss-Legendre order, rounded up to even so that
+    fewer distinct rules serve a frequency array, or 0 beyond the dead
+    exponent, where the pair keeps its zeros.  Per key, the pairs that
+    any frequency needs at it, in chunks of about 500k rule points.
     """
-    vx, fi, fj, ni, nj, li, lj = plan.touch_geometry
-    lmax = max(li.max(), lj.max())
-    keys = [tuple(_gl_orders(sf, _GRADE_SPANS * lmax).tolist()) for sf in s]
-    for key in dict.fromkeys(keys):
-        t, w = _graded_rule(key)
-        rule = _tensor_rule(vx[:, None, :] + t[None, :, None] * (fi - vx)[:, None, :],
-                            w * li[:, None],
-                            vx[:, None, :] + t[None, :, None] * (fj - vx)[:, None, :],
-                            w * lj[:, None], ni, nj, with_kd)
-        yield plan.touch, rule, [(f, slice(None)) for f, k in enumerate(keys) if k == key]
-    orders = (_gl_orders(s[:, None], plan.leff) + 1) & ~1
-    orders[s.real[:, None] * plan.rmin > _DEAD_EXPONENT] = 0
-    for o in np.unique(orders[orders > 0]):
-        need = orders == o
-        pairs = np.flatnonzero(need.any(axis=0))
-        P, W = mesh.gl_points(int(o))
-        chunk = max(32, 500_000 // int(o * o))
-        for p0 in range(0, pairs.size, chunk):
-            pc = pairs[p0 : p0 + chunk]
-            ic, jc = plan.far_i[pc], plan.far_j[pc]
-            rule = _tensor_rule(P[ic], W[ic], P[jc], W[jc], mesh.normal[ic], mesh.normal[jc],
-                                with_kd)
-            uses = []
-            for f in np.flatnonzero(need[:, pc].any(axis=1)):
-                m = need[f, pc]
-                uses.append((f, slice(None) if m.all() else np.flatnonzero(m)))
-            yield plan.far[pc], rule, uses
+    graded = _gl_orders(s[:, None], _GRADE_SPANS * plan.touch_sides["l"].max())
+    tuples, touch = np.unique(graded, axis=0, return_inverse=True)
+    far = (_gl_orders(s[:, None], plan.leff) + 1) & ~1
+    far[s.real[:, None] * plan.rmin > _DEAD_EXPONENT] = 0
+    for kind, keys, rule in (
+        ("touch", np.repeat(touch.reshape(-1, 1) + 1, plan.touch.size, axis=1),
+         lambda key: _graded_rule(tuple(tuples[key - 1].tolist()))),
+        ("far", far, _rule01),
+    ):
+        for key in np.unique(keys[keys > 0]).tolist():
+            need = keys == key
+            pairs = np.flatnonzero(need.any(axis=0))
+            t, w = rule(key)
+            chunk = max(32, 500_000 // t.size ** 2)
+            for pc in np.split(pairs, np.arange(chunk, pairs.size, chunk)):
+                yield kind, pc, (t, w), [(f, slice(None) if m.all() else np.flatnonzero(m))
+                                         for f, m in enumerate(need[:, pc]) if m.any()]
 
 
-def _assemble(s, mesh, plan, with_kd=True):
+def _assemble(s, plan, with_kd=True):
     """Per-class values v of V and kd of Kd (None without with_kd) at the
     frequencies s, of shapes np.shape(s) + (plan.size,) and
     np.shape(s) + (plan.size, 2).
 
     Each class is evaluated on its representative (r, q) only: the closed
     form on the diagonal (where Kd vanishes) and a tensor rule on every
-    other pair, whose geometry _rules builds once for all the frequencies
-    that use it.  V is v[..., plan.vmap] and Kd is kd[..., c, :] gathered
-    through plan.kmap, kd[..., c, :] holding (Kd_rq, Kd_qr).  A
+    other pair, built from each _quadrature_plan entry as it comes, once
+    for all the frequencies that use it.  V is v[..., plan.vmap] and Kd is
+    kd[..., c, :] gathered through plan.kmap, kd[..., c, :] holding
+    (Kd_rq, Kd_qr).  A
     frequency's values come from the same operations whatever the other
     frequencies of s, however they split its pairs into chunks: each
     K0/K1 value depends on its argument alone, and each pair's values are
@@ -613,9 +587,12 @@ def _assemble(s, mesh, plan, with_kd=True):
     for f, sf in enumerate(flat):
         for c, ell in zip(plan.diag, plan.diag_length):
             v[f, c] = 2.0 * _self_weighted_k0_integral(sf, float(ell)) / (2.0 * np.pi)
-    for classes, rule, uses in _rules(flat, mesh, plan, with_kd):
+    kinds = {"touch": (plan.touch, plan.touch_sides), "far": (plan.far, plan.far_sides)}
+    for kind, pairs, (t, w), uses in _quadrature_plan(flat, plan):
+        classes, sides = kinds[kind]
+        rule = _tensor_rule(sides[pairs], t, w, with_kd)
         for f, sel in uses:
-            c = classes[sel]
+            c = classes[pairs[sel]]
             v[f, c], kc = _rule_values(flat[f], rule, sel, with_kd)
             if with_kd:
                 kd[f, c] = kc
@@ -638,7 +615,7 @@ def assemble_pair(s, mesh):
     assembling it alone (see _assemble).
     """
     plan = mesh.pair_plan()
-    v, kd = _assemble(_frequency(s), mesh, plan)
+    v, kd = _assemble(_frequency(s), plan)
     return v[..., plan.vmap], kd.reshape(v.shape[:-1] + (-1,))[..., plan.kmap]
 
 
@@ -649,7 +626,7 @@ def assemble_V(s, mesh):
     result equals assemble_pair(s, mesh)[0] bit for bit.
     """
     plan = mesh.pair_plan()
-    return _assemble(_frequency(s), mesh, plan, with_kd=False)[0][..., plan.vmap]
+    return _assemble(_frequency(s), plan, with_kd=False)[0][..., plan.vmap]
 
 
 def mass_matrix(mesh):
@@ -710,7 +687,7 @@ class BemTransfer:
         isl = self.operator == "inverse_single_layer"
         plan = mesh.pair_plan()
         sv = _frequency(s)
-        vals, kds = _assemble(sv.reshape(-1), mesh, plan, with_kd=not isl)
+        vals, kds = _assemble(sv.reshape(-1), plan, with_kd=not isl)
         num = ell if isl else -0.5 * ell + np.fft.fft(kds.reshape(sv.size, -1)[:, plan.kmap[0]])
         out = num / np.fft.fft(vals[:, plan.vmap[0]])
         return out[:, :lanes].reshape(sv.shape + (lanes,))

@@ -34,7 +34,9 @@ cancels (I0(3) = 4.9, K0(3) = 0.035); the table within 3.5e-15 just
 outside |z| = 3 (a cell's points lie within |t| <= 0.36 of its centre,
 and the nearest centre in use is 1.75 + 2i, |zc| = 2.66) and within
 8.9e-16 on random points of its annulus; the asymptotic bands within
-6.5e-16 on random points of 16.5 <= |z| <= 700.  For Re z > 700 both
+6.5e-16 on random points of 16.5 <= |z| <= 700 and within 6.7e-16 on
+both sides of each band's edges at arg z = +-(pi/2 - 1e-5), the worst
+just above 16.5 (tests/test_bessel.py holds them to 2e-15).  For Re z > 700 both
 functions underflow to exactly 0, which is harmless for exponentially
 decaying kernels.
 """

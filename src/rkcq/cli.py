@@ -66,7 +66,8 @@ def main(argv=None):
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, "stability_report.json")
-            _write_atomic(path, text + "\n")
+            with _write_atomic(path) as f:
+                f.write((text + "\n").encode())
             print(path)
         else:
             print(text)

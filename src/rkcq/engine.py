@@ -32,9 +32,11 @@ node count, never the kernel or h.  Later weight sets on that contour reuse
 them read-only from a bounded private cache.
 """
 
+import contextlib
 import functools
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -289,12 +291,33 @@ def scalar_reference_solution(K, g, T, N_ref, tab, eps=1e-24):
     return apply_cq(wset, sample_stage_signal(g, h, N_ref, tab.c))
 
 
-def save_weights(wset, path):
-    """Store a weight set as an .npz artifact at path.
+@contextlib.contextmanager
+def _write_atomic(path):
+    """Binary file whose contents replace path once the with block ends.
 
-    The file is written under a temporary name and moved into place, so a
-    run killed mid-write leaves no truncated artifact at path.
+    It is a tempfile.mkstemp file beside path, with the mode the umask
+    gives a new file: a run killed mid-write leaves no truncated file at
+    path, and two writers never share a temporary file.  A block that
+    raises removes it and leaves path as it was.
     """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        umask = os.umask(0o22)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_weights(wset, path):
+    """Store a weight set as an .npz artifact at path, written through
+    _write_atomic."""
     meta = {
         "h": wset.h,
         "N": wset.N,
@@ -304,11 +327,8 @@ def save_weights(wset, path):
         "key": wset.key,
         "tableau": tableau_to_json(wset.tableau),
     }
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with _write_atomic(path) as f:
         np.savez(f, W=wset.W, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    os.replace(tmp, path)
 
 
 def load_weights(path):

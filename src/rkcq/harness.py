@@ -23,6 +23,7 @@ import numpy as np
 from . import bem, stability
 from .bem import ScatteringProblem, error_metric, make_mesh, make_mode_transfer, make_transfer
 from .engine import (
+    _write_atomic,
     apply_cq,
     compute_weights,
     load_weights,
@@ -253,7 +254,7 @@ def _weights(cfg, K, tab, h, N):
 @functools.lru_cache(maxsize=8)
 def _shared_mesh(geometry, n_panels):
     # one mesh per (geometry, n_panels), so a reference and its cells share
-    # the pair plan, the Gauss-Legendre points and V(1)
+    # the pair plan and V(1)
     return make_mesh(geometry, n_panels)
 
 
@@ -428,13 +429,6 @@ def _mu_label(prefix, mu):
     return "%s_mu%s" % (prefix, tag)
 
 
-def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _with_overrides(cfg, **over):
     """cfg with every override that is not None.  replace() validates, so a
     bad override fails before any reference solve starts."""
@@ -456,12 +450,14 @@ def _run_and_write(cfgs, out_dir, prefix, stem, index):
         report = run_convergence(cfg, reference=refs[key])
         label = cfg.label or cfg.experiment
         fname = prefix + label + ".csv"
-        _write_atomic(os.path.join(out_dir, fname), report.to_csv())
+        with _write_atomic(os.path.join(out_dir, fname)) as f:
+            f.write(report.to_csv().encode())
         cells.append({"label": label, "file": fname, "config": cfg.to_dict(),
                       "rows": [[int(N), e, eoc] for N, e, eoc in report.rows],
                       "wall_time_s": round(report.meta["wall_time_s"], 3)})
     index.update(cells=cells, reference_wall_time_s=round(ref_seconds, 3))
-    _write_atomic(os.path.join(out_dir, "%s_index.json" % stem), json.dumps(index, indent=2))
+    with _write_atomic(os.path.join(out_dir, "%s_index.json" % stem)) as f:
+        f.write(json.dumps(index, indent=2).encode())
     return index
 
 

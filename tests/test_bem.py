@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkcq import bem
+from rkcq import bem, engine
 from rkcq.bessel import band, bessel_k0, bessel_k1, k0k1
+from rkcq.harness import preset_configs
+from rkcq.tableaux import gauss_tableau
 
 
 def test_circle_mesh_geometry():
@@ -265,14 +267,55 @@ _CHUNK_SPLIT = [(0.5 + 2000j, 0), (0.5 - 2500j, 0), (20.0 + 40j, 1)]
 
 
 def _chunk_sizes(s, mesh):
-    """Per frequency of s, the number of pairs it takes from each rule of
-    bem._rules, in order."""
+    """Per frequency of s, the number of pairs it takes from each entry of
+    bem._quadrature_plan, in order."""
     sizes = [[] for _ in s]
-    for classes, _, uses in bem._rules(np.asarray(s, dtype=complex), mesh,
-                                       mesh.pair_plan(), False):
+    for _, pairs, _, uses in bem._quadrature_plan(np.asarray(s, dtype=complex),
+                                                  mesh.pair_plan()):
         for f, sel in uses:
-            sizes[f].append(classes[sel].size)
+            sizes[f].append(pairs[sel].size)
     return sizes
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["unit_circle", "l_shape"]),
+       s=st.lists(_WIDE_FREQUENCY, min_size=1, max_size=5))
+@example(kind="l_shape", s=[40.0 + 3.0j, 0.5 - 2500.0j, 40.0 + 3.0j])
+def test_quadrature_plan_covers_each_live_class_once(kind, s):
+    # every touching class and every far class short of the dead cut is in
+    # exactly one use per frequency; no use holds any other class
+    plan = _MESHES[(kind, 32)].pair_plan()
+    s = np.array(s)
+    seen = {"touch": np.zeros((s.size, plan.touch.size), int),
+            "far": np.zeros((s.size, plan.far.size), int)}
+    for kind_, pairs, (t, w), uses in bem._quadrature_plan(s, plan):
+        assert t.shape == w.shape and pairs.size
+        for f, sel in uses:
+            np.add.at(seen[kind_][f], pairs[sel], 1)
+    assert (seen["touch"] == 1).all()
+    live = s.real[:, None] * plan.rmin[None, :] <= bem._DEAD_EXPONENT
+    assert np.array_equal(seen["far"], live.astype(int))
+
+
+def _table5_reference_frequencies():
+    """The 771 frequencies of the table5 Gauss-3 reference: 257 contour
+    nodes of N_ref = 210 steps at eps = 1e-16, three stages each."""
+    cfg = preset_configs("table5")[0]
+    tab = gauss_tableau(3)
+    L, _ = engine._fft_grid(cfg.N_ref, cfg.eps)
+    w = engine._contour(tab.A.tobytes(), tab.b.tobytes(), 3, cfg.N_ref, cfg.eps, L // 2 + 1)[0]
+    return (w / (cfg.T / cfg.N_ref)).ravel()
+
+
+def test_quadrature_plan_points_on_the_table5_reference():
+    # rule points per kind, |sel| G^2 per use, from the plan alone: no
+    # tensor rule is built
+    s = _table5_reference_frequencies()
+    assert s.size == 771
+    points = {"touch": 0, "far": 0}
+    for kind, pairs, (t, _), uses in bem._quadrature_plan(s, bem.make_mesh("l_shape", 64).pair_plan()):
+        points[kind] += sum(pairs[sel].size for _, sel in uses) * t.size ** 2
+    assert points == {"touch": 31_819_179, "far": 377_423_680}
 
 
 def test_the_pinned_split_changes_far_chunk_sizes():
@@ -330,7 +373,7 @@ def test_pair_plan_matches_singleton_plan(kind):
     assert single.size == 32 * 33 // 2 > mesh.pair_plan().size
     for s in (1.0, 2.0 + 5.0j, 40.0 + 3.0j, 0.3 - 17.0j):
         V1, K1 = bem.assemble_pair(s, mesh)
-        V2, K2 = _gather(single, *bem._assemble(complex(s), mesh, single))
+        V2, K2 = _gather(single, *bem._assemble(complex(s), single))
         assert np.abs(V1 - V2).max() <= 1e-13 * np.abs(V2).max(), s
         assert np.abs(K1 - K2).max() <= 1e-12 * np.abs(K2).max(), s
 
@@ -343,13 +386,15 @@ def test_far_pair_straddling_the_dead_cut(kind):
     mesh = bem.make_mesh(kind, 32)
     single = bem._PairPlan(mesh, *bem._singleton_maps(mesh.n))
     s = 40.0 + 3.0j
-    rmin, rmax = bem._pair_r_bounds(mesh, single.far_i, single.far_j)
+    # the singleton plan's class c is the c-th pair of the upper triangle
+    iu, ju = (k[single.far] for k in np.triu_indices(mesh.n))
+    rmin, rmax = bem._pair_r_bounds(mesh, iu, ju)
     cut = bem._DEAD_EXPONENT / s.real
     straddle = (rmin <= cut) & (rmax > cut)
     assert straddle.any()
-    i, j = single.far_i[straddle], single.far_j[straddle]
+    i, j = iu[straddle], ju[straddle]
     V1, K1 = bem.assemble_pair(s, mesh)
-    V2, K2 = _gather(single, *bem._assemble(s, mesh, single))
+    V2, K2 = _gather(single, *bem._assemble(s, single))
     assert np.abs(V1[i, j]).min() > 0.0
     for A, B in ((V1, V2), (K1, K2), (K1.T, K2.T)):
         assert np.isfinite(A[i, j]).all()
@@ -372,10 +417,10 @@ def test_far_pair_order_does_not_change_a_bit(kind, seed):
     assert np.all(np.diff(plan.rmin) >= 0.0)
     perm = np.random.default_rng(seed).permutation(plan.far.size)
     shuffled = copy.copy(plan)
-    for name in ("far", "far_i", "far_j", "rmin", "leff"):
+    for name in ("far", "far_sides", "rmin", "leff"):
         setattr(shuffled, name, getattr(plan, name)[perm])
     V, K = bem.assemble_pair(_ORDER_FREQUENCIES, mesh)
-    v, kd = bem._assemble(_ORDER_FREQUENCIES, mesh, shuffled)
+    v, kd = bem._assemble(_ORDER_FREQUENCIES, shuffled)
     assert np.array_equal(v[:, plan.vmap], V)
     assert np.array_equal(kd.reshape(v.shape[:-1] + (-1,))[:, plan.kmap], K)
 

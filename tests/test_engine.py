@@ -258,6 +258,36 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(urun, apply_cq(ws, sample_stage_signal(sin_pow_exp, 0.05, 10, tab.c)))
 
 
+def test_save_leaves_a_foreign_temporary_file_alone(tmp_path):
+    # another writer's path + ".tmp" (the one temporary name every writer
+    # used to share) is neither truncated nor moved into place
+    ws = compute_weights(kmu_transfer(0.5), gauss_tableau(2), 0.1, 6)
+    path = tmp_path / "w.npz"
+    (tmp_path / "w.npz.tmp").write_bytes(b"another writer")
+    save_weights(ws, path)
+    assert (tmp_path / "w.npz.tmp").read_bytes() == b"another writer"
+    back = load_weights(path)
+    assert back.W.tobytes() == ws.W.tobytes() and back.key == ws.key
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.npz", "w.npz.tmp"]
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        with engine._write_atomic(path) as f:
+            f.write(b"half a file")
+            raise RuntimeError("killed mid-write")
+    assert list(tmp_path.iterdir()) == []
+    # an existing file stays as it was
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with engine._write_atomic(path) as f:
+            f.write(b"new")
+            raise RuntimeError("killed mid-write")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_bytes() == b"old"
+
+
 def test_load_ignores_extra_arrays(tmp_path):
     # files that also store post-stage coefficients still load
     ws = compute_weights(kmu_transfer(0.0), gauss_tableau(2), 0.1, 6)

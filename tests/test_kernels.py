@@ -82,7 +82,7 @@ def test_traveling_gaussian_peak_and_causal_start():
     assert traveling_gaussian(x, tpeak)[0] == pytest.approx(1.0, rel=1e-14)
     th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     circle = np.stack([np.cos(th), np.sin(th)], axis=1)
-    assert np.abs(traveling_gaussian(circle, 0.0)).max() < 5e-5
+    assert np.abs(traveling_gaussian(circle, 0.0)).max() < 2e-28
 
 
 def test_traveling_gaussian_moves_along_alpha():
