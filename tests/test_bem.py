@@ -312,8 +312,9 @@ def test_quadrature_plan_points_on_the_table5_reference():
     # tensor rule is built
     s = _table5_reference_frequencies()
     assert s.size == 771
+    plan = bem.make_mesh("l_shape", 64).pair_plan()
     points = {"touch": 0, "far": 0}
-    for kind, pairs, (t, _), uses in bem._quadrature_plan(s, bem.make_mesh("l_shape", 64).pair_plan()):
+    for kind, pairs, (t, _), uses in bem._quadrature_plan(s, plan):
         points[kind] += sum(pairs[sel].size for _, sel in uses) * t.size ** 2
     assert points == {"touch": 31_819_179, "far": 377_423_680}
 
