@@ -31,10 +31,13 @@ A planner (_quadrature_plan) groups the pairs of both kinds by the rule
 each frequency needs; each rule's s-independent geometry (distances,
 weight products and the double layer's normal factors, _tensor_rule) is
 built once and serves every frequency that needs it.  For each frequency,
-a rule's arguments s R go to K0/K1 in one call, which splits them by band
-(rkcq.bessel); far pairs are stored nearest first, so a block of them spans
-a short range of |s| r.  One batched real matmul contracts the values with
-the weights.
+rkcq.bessel.sr_kernels groups a rule's pairs by the K0/K1 kernel that
+serves each pair's distances whole: pairs in the series or the asymptotic
+regime take a kernel of the real R with s factored out, and the other
+pairs' arguments s R go to K0/K1 in one call, which splits them by band;
+far pairs are stored nearest first, so a block of them spans a short range
+of |s| r.  One batched real matmul per group contracts the values with the
+weights.
 """
 
 import hashlib
@@ -45,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bessel import bessel_k0, k0k1
+from .bessel import bessel_k0, k0k1, sr_kernels
 from .engine import _BLOCK, TransferFunction
 from .kernels import snake_name
 
@@ -465,12 +468,15 @@ class _TensorRule(NamedTuple):
     """The s-independent part of a block of tensor-product pair rules, one
     row per pair over its g h point pairs (x, y).
 
-    R is |y - x| (p, g h); A holds the weights w_x w_y (p, 1, g h); D the
-    weights of Kd_ij and Kd_ji (p, 2, g h), A n_j.(y - x)/R and
-    -A n_i.(y - x)/R, or None when Kd is not needed.
+    R is |y - x| (p, g h), rmin and rmax its least and largest value per
+    pair (p,); A holds the weights w_x w_y (p, 1, g h); D the weights of
+    Kd_ij and Kd_ji (p, 2, g h), A n_j.(y - x)/R and -A n_i.(y - x)/R, or
+    None when Kd is not needed.
     """
 
     R: np.ndarray
+    rmin: np.ndarray
+    rmax: np.ndarray
     A: np.ndarray
     D: Optional[np.ndarray]
 
@@ -497,28 +503,40 @@ def _tensor_rule(sides, t, w, with_kd):
         for k, nrm in enumerate((nj, -ni)):
             D[:, k] = (dx * nrm[:, 0, None, None] + dy * nrm[:, 1, None, None]) * A / R
         D = D.reshape(p, 2, -1)
-    return _TensorRule(R.reshape(p, -1), A.reshape(p, 1, -1), D)
+    R = R.reshape(p, -1)
+    return _TensorRule(R, R.min(axis=1), R.max(axis=1), A.reshape(p, 1, -1), D)
 
 
 def _rule_values(s, rule, sel, with_kd):
     """V and (with_kd) (Kd_ij, Kd_ji) of the rule's pairs sel at frequency s.
 
-    The arguments s R take one k0k1 (or bessel_k0) call, which splits them
-    by band (rkcq.bessel), and one batched real matmul per output contracts
-    the values, viewed as float pairs, with the rule's weights.  Returns
-    the (q,) values of V and the (q, 2) values of Kd, None without with_kd.
+    rkcq.bessel.sr_kernels groups the pairs by the K0/K1 kernel that serves
+    each pair's distances whole: pairs in the series or the asymptotic
+    regime take a kernel of the real R with s factored out, the others one
+    k0k1 (or bessel_k0) call of s R, which splits them by band.  One
+    batched real matmul per group and output contracts the values, viewed
+    as float pairs, with the rule's weights.  Returns the (q,) values of V
+    and the (q, 2) values of Kd, None without with_kd.
     """
-    z = s * rule.R[sel]
-    vals = k0k1(z) if with_kd else (bessel_k0(z),)
+    idx = np.arange(len(rule.R))[sel]
+    v = np.empty(idx.size, dtype=complex)
+    kd = np.empty((idx.size, 2), dtype=complex) if with_kd else None
 
     def contract(W, val):
         q, G = val.shape
         return (W @ val.view(float).reshape(q, G, 2)).view(complex)[..., 0]
 
-    v = contract(rule.A[sel], vals[0])[:, 0] / (2.0 * np.pi)
-    if not with_kd:
-        return v, None
-    return v, -s / (2.0 * np.pi) * contract(rule.D[sel], vals[1])
+    for part, kernel in sr_kernels(s, rule.rmin[idx], rule.rmax[idx]):
+        rows = idx[part]
+        R = rule.R[rows]
+        if kernel is not None:
+            vals = kernel(R, 1 + with_kd)
+        else:
+            vals = k0k1(s * R) if with_kd else (bessel_k0(s * R),)
+        v[part] = contract(rule.A[rows], vals[0])[:, 0] / (2.0 * np.pi)
+        if with_kd:
+            kd[part] = -s / (2.0 * np.pi) * contract(rule.D[rows], vals[1])
+    return v, kd
 
 
 # e^{-Re(s) r} bound on K0/K1 below which a pair contributes nothing: at 60
@@ -577,8 +595,9 @@ def _assemble(s, plan, with_kd=True):
     (Kd_rq, Kd_qr).  A
     frequency's values come from the same operations whatever the other
     frequencies of s, however they split its pairs into chunks: each
-    K0/K1 value depends on its argument alone, and each pair's values are
-    contracted on their own.
+    K0/K1 value depends on its argument alone and on the kernel that
+    rkcq.bessel.sr_kernels picks from s and the pair's own rmin and rmax,
+    and each pair's values are contracted on their own.
     """
     sv = np.asarray(s, dtype=complex)
     flat = sv.reshape(-1)

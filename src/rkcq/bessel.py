@@ -39,6 +39,30 @@ both sides of each band's edges at arg z = +-(pi/2 - 1e-5), the worst
 just above 16.5 (tests/test_bessel.py holds them to 2e-15).  For Re z > 700 both
 functions underflow to exactly 0, which is harmless for exponentially
 decaying kernels.
+
+Boundary-element assembly evaluates z = s R for one complex s and many
+real distances R, and sr_kernels(s, rmin, rmax) gives each pair of
+panels whose arguments all lie in one regime a kernel of s R with s
+factored out:
+
+* the series where |s| rmax <= 3, at the depth of the band of |s| rmax
+  (12 terms up to 2, else 18): each sum is a real polynomial in R^2 with
+  coefficients c_k (s^2/4)^k, and log z = log s + log R,
+* the asymptotic expansion where |s| rmin >= 16.5 (and Re s rmax <= 700),
+  at the depth of the band of |s| rmin, never fewer terms than any of its
+  arguments takes alone: each sum is a real polynomial in 1/R with
+  coefficients a_k s^(-k-1/2), and e^-z = e^(-Re s R) (cos(Im s R) -
+  i sin(Im s R)).
+
+One real matmul of the coefficients with the powers of R^2 or 1/R
+evaluates every polynomial, and no argument pays for a complex log,
+sqrt, exp or division or for the band masks.  Other pairs take k0k1 (or
+bessel_k0) of s R.  Measured against mpmath at 30 digits, at s R as numpy
+rounds it, for s of seven phases up to arg s = +-(pi/2 - 1e-5): the
+factored series within 2.8e-15 on |z| <= 2 and 7.0e-14 on |z| <= 3, the
+factored asymptotic bands within 9.8e-16 at both edges of every band and
+inside it, the worst just above 16.5 (tests/test_bessel.py holds them to
+1e-14, 1e-13 and 2e-15).
 """
 
 import os
@@ -46,7 +70,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-__all__ = ["band", "bessel_k0", "bessel_k1", "k0k1"]
+__all__ = ["band", "bessel_k0", "bessel_k1", "k0k1", "sr_kernels"]
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -281,3 +305,126 @@ def bessel_k0(z):
 def bessel_k1(z):
     """Modified Bessel function K1(z), Re z > 0."""
     return k0k1(z)[1]
+
+
+def _planar(coef):
+    """Complex coefficient rows (r, K) as real rows (2 r, K): the real and
+    the imaginary part of each row in turn."""
+    return np.stack([coef.real, coef.imag], axis=1).reshape(-1, coef.shape[1])
+
+
+def _real_poly(coef, x):
+    """Every row of the real coef (r, K) as a polynomial in the real x
+    (ascending powers), shape (r, x.size).
+
+    One matmul of the coefficients with the powers x^k, its columns padded
+    to a multiple of 8: at that width OpenBLAS gives every column the same
+    bits whatever the number of columns and the column's place, so a value
+    depends on its own x alone (tests/test_bessel.py checks this).
+    """
+    n = x.size
+    X = np.empty((coef.shape[1], -(-n // 8) * 8))
+    X[0] = 1.0
+    X[1, :n], X[1, n:] = x, 1.0
+    for k in range(2, len(X)):
+        np.multiply(X[k - 1], X[1], out=X[k])
+    return (coef @ X)[:, :n]
+
+
+def _series_sr(s, orders, kmax):
+    """_series_k at z = s R for real R > 0, as a function of a block of R
+    giving (re, im) of K0 (orders 1) or of K0 and K1 (orders 2).
+
+    Each sum is a real polynomial in R^2 whose coefficients c_k (s^2/4)^k
+    carry s, and log z = log s + log R.
+    """
+    q = np.concatenate([[1.0], np.cumprod(np.full(kmax, s * s / 4.0))])
+    coef = _planar(_SERIES_COEF[kmax][: 2 * orders] * q)
+    lg = np.log(s) + (_EULER_GAMMA - np.log(2.0))
+    inv = 1.0 / s
+
+    def block(R):
+        ar, ai, br, bi, *cd = _real_poly(coef, R * R)
+        lr, li = np.log(R) + lg.real, lg.imag
+        k0 = (br - (lr * ar - li * ai), bi - (lr * ai + li * ar))
+        if orders == 1:
+            return (k0,)
+        cr, ci, dr, di = cd
+        tr, ti = lr * cr - li * ci - dr, lr * ci + li * cr - di
+        return k0, (inv.real / R + R * (s.real * tr - s.imag * ti),
+                    inv.imag / R + R * (s.real * ti + s.imag * tr))
+    return block
+
+
+def _asym_sr(s, orders, terms):
+    """_asym_k at z = s R for real R > 0, as a function of a block of R
+    giving (re, im) of K0 (orders 1) or of K0 and K1 (orders 2).
+
+    Each sum is a real polynomial in x = 1/R whose coefficients
+    a_k s^(-k-1/2) carry s, and sqrt(1/z) e^-z = s^(-1/2) sqrt(x)
+    e^(-Re s R) (cos(Im s R) - i sin(Im s R)).
+    """
+    w = 1.0 / s
+    wk = np.sqrt(w) * np.concatenate([[1.0], np.cumprod(np.full(terms, w))])
+    coef = _planar(_ASYM_COEF[terms][:orders] * wk)
+
+    def block(R):
+        x = 1.0 / R
+        sums = _real_poly(coef, x)
+        pref = np.sqrt(x) * np.exp(-s.real * R)
+        phase = s.imag * R
+        c, sn = pref * np.cos(phase), pref * np.sin(phase)
+        return tuple((sr * c + si * sn, si * c - sr * sn) for sr, si in sums.reshape(orders, 2, -1))
+    return block
+
+
+# the kernel of s R for real R of every band of _BAND_KERNELS, None for the
+# Taylor table, whose cells are laid out in z, so s does not factor out
+_SR_KERNELS = (
+    [partial(_series_sr, kmax=kmax) for _, kmax in _SERIES_BANDS]
+    + [None]
+    + [partial(_asym_sr, terms=terms) for _, terms in _ASYM_BANDS]
+)
+# distances per block of _k_sr: the powers x^k, a block's largest temporary,
+# take 496 KiB in the deepest asymptotic band and 208 or 304 KiB in the
+# series; blocks of 4096 ran no faster and raised a dtn_lshape round's peak
+# RSS by 2-6 MB
+_SR_BLOCK = 2048
+
+
+def _k_sr(kernel, s, R, orders):
+    """K0 (orders 1) or K0 and K1 (orders 2) of s R, elementwise over the
+    real array R, from one band's factored kernel in blocks of _SR_BLOCK."""
+    block = kernel(s, orders)
+    rf = R.ravel()
+    out = [np.empty(rf.size, dtype=complex) for _ in range(orders)]
+    for a in range(0, rf.size, _SR_BLOCK):
+        for k, (re, im) in zip(out, block(rf[a : a + _SR_BLOCK])):
+            kb = k[a : a + _SR_BLOCK]
+            kb.real, kb.imag = re, im
+    return tuple(k.reshape(R.shape) for k in out)
+
+
+def sr_kernels(s, rmin, rmax):
+    """Split pairs by the K0/K1 kernel of z = s R that serves each pair's
+    distances R, all within [rmin, rmax] (arrays over the pairs), for one
+    frequency s, Re s > 0.
+
+    Returns a list of (pairs, kernel), pairs an index array into rmin.
+    kernel(R, orders) gives K0 (orders 1) or K0 and K1 (orders 2) of s R
+    for real R of those pairs; it is None for pairs whose arguments span
+    the Taylor table's annulus or more than one regime (and for those that
+    reach Re z > 700): those take k0k1 or bessel_k0 of s R.  A pair with
+    |s| rmax <= 3 takes the series with s factored out (depth 12 if
+    |s| rmax <= 2, else 18), a pair with |s| rmin >= 16.5 the asymptotic
+    expansion with s factored out, at the depth of the band of |s| rmin,
+    the deepest its arguments need.  Each value depends on s, the pair's
+    kernel and its own R alone, and a K0 value does not depend on orders.
+    """
+    s = complex(s)
+    lo, hi = np.searchsorted(_EDGES, [abs(s) * rmin, abs(s) * rmax])
+    series = len(_SERIES_BANDS)
+    asym = (lo > series) & (s.real * rmax <= 700.0)
+    key = np.where(hi < series, hi, np.where(asym, lo, -1))
+    return [(np.flatnonzero(key == b), partial(_k_sr, _SR_KERNELS[b], s) if b >= 0 else None)
+            for b in np.unique(key).tolist()]

@@ -427,24 +427,34 @@ def test_far_pair_order_does_not_change_a_bit(kind, seed):
 
 
 @pytest.mark.parametrize("with_kd", [True, False])
-def test_each_rule_use_makes_one_kernel_call(monkeypatch, with_kd):
-    # rkcq.bessel alone splits arguments by band: each _rule_values call
-    # hands all its arguments to one k0k1 (or bessel_k0) call, also when
+def test_factored_pairs_skip_k0k1_and_the_rest_take_one_call(monkeypatch, with_kd):
+    # rkcq.bessel alone splits arguments by band: a pair whose arguments
+    # s R all lie in the series regime (|s R| <= 3) or the asymptotic one
+    # (|s R| >= 16.5, Re s R <= 700) takes a factored kernel and never
+    # reaches bem.k0k1 or bem.bessel_k0; each _rule_values call hands the
+    # arguments of all its other pairs to exactly one such call, also when
     # they span several bands
     mesh = _MESHES[("l_shape", 32)]
-    # per _rule_values call, the number of bands in each kernel call
-    seen, uses = [], []
+    calls, uses = [], []
 
     def counted(fn):
         def wrapped(z):
-            seen.append(np.unique(band(z)).size)
+            calls.append(np.sort_complex(z.ravel()))
             return fn(z)
         return wrapped
 
-    def rule_values(*args):
-        seen.clear()
-        out = real(*args)
-        uses.append(list(seen))
+    def rule_values(s, rule, sel, with_kd):
+        calls.clear()
+        out = real(s, rule, sel, with_kd)
+        R = rule.R[sel]
+        zmin, zmax = abs(s) * R.min(axis=1), abs(s) * R.max(axis=1)
+        factored = (zmax <= 3.0) | ((zmin >= 16.5) & (s.real * R.max(axis=1) <= 700.0))
+        uses.append((factored.sum(), list(calls)))
+        if factored.all():
+            assert not calls
+        else:
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], np.sort_complex((s * R[~factored]).ravel()))
         return out
 
     real = bem._rule_values
@@ -456,8 +466,10 @@ def test_each_rule_use_makes_one_kernel_call(monkeypatch, with_kd):
         bem.assemble_pair(s, mesh)
     else:
         bem.assemble_V(s, mesh)
-    assert uses and all(len(u) == 1 for u in uses)
-    assert max(u[0] for u in uses) >= 3
+    # some uses are wholly factored, some make one call, some do both, and
+    # some calls span three bands or more
+    assert any(f and not c for f, c in uses) and any(f and c for f, c in uses)
+    assert max(np.unique(band(c[0])).size for _, c in uses if c) >= 3
 
 
 def test_pair_plan_class_counts():

@@ -155,6 +155,60 @@ def test_large_imaginary_argument_against_reference():
         assert abs(k1[0] - w1) / abs(w1) < _ASYM_BOUND
 
 
+# the |z| edges of every band, from the series' first to the asymptotic
+# top band's last argument below Re z = 700
+_RADII = [0.01] + bessel._EDGES.tolist() + [700.0]
+# the phases of s the factored kernels are checked at: across the right
+# half-plane and next to the imaginary axis on both sides
+_S_PHASES = (0.0, 0.3, 1.0, -0.7, 1.5699, np.pi / 2 - 1e-5, -(np.pi / 2 - 1e-5))
+
+
+@pytest.mark.parametrize("b", [b for b, k in enumerate(bessel._SR_KERNELS) if k is not None])
+def test_factored_kernels_against_high_precision_reference(b):
+    # each series and asymptotic band's kernel of s R with s factored out,
+    # at both of the band's edges and inside it, for s of every phase: the
+    # asymptotic bands within _ASYM_BOUND, the series within 1e-14 on
+    # |z| <= 2 and 1e-13 on |z| <= 3 (the per-argument series' bound at its
+    # |z| = 3 switch), and k0k1(s R) within the same bound of both
+    bound = _ASYM_BOUND if b > len(bessel._SERIES_BANDS) else (1e-14, 1e-13)[b]
+    rng = np.random.default_rng(40 + b)
+    lo, hi = _RADII[b], _RADII[b + 1]
+    r = np.concatenate([[np.nextafter(lo, np.inf), hi], rng.uniform(lo, hi, 4)])
+    for phase in _S_PHASES:
+        m = rng.uniform(0.5, 50.0)
+        s = m * np.exp(1j * phase)
+        R = r / m
+        k0, k1 = bessel._k_sr(bessel._SR_KERNELS[b], s, R, 2)
+        # the argument the factored kernel evaluates: s R rounded as numpy
+        # rounds the complex product, Re s R and Im s R
+        z = s * R
+        q0, q1 = k0k1(z)
+        for zi, a0, a1, c0, c1 in zip(z, k0, k1, q0, q1):
+            w0, w1 = _mp_k0k1(zi)
+            for got, ref, want in ((a0, c0, w0), (a1, c1, w1)):
+                assert abs(got - want) / abs(want) < bound, (b, zi)
+                assert abs(got - ref) / abs(ref) < bound, (b, zi)
+
+
+def test_sr_kernels_pick_the_regime_of_each_pair():
+    # a pair whose |s| R lies within [0, 3] takes the series at the depth
+    # of |s| rmax, within [16.5, 700] the asymptotic expansion at the depth
+    # of |s| rmin; a pair that reaches the Taylor table, spans regimes or
+    # passes Re z = 700 takes no factored kernel
+    s = 3.0 + 4.0j
+    # |s| = 5, Re s = 3: the bounds of |s| R and Re s R are 5 and 3 times these
+    rmin = np.array([0.1, 0.1, 0.5, 17.0, 40.0, 600.0, 0.5, 3.0, 0.1, 1200.0]) / 5.0
+    rmax = np.array([1.9, 2.9, 2.0, 60.0, 130.0, 1000.0, 4.0, 20.0, 100.0, 1300.0]) / 5.0
+    groups = bessel.sr_kernels(s, rmin, rmax)
+    got = {}
+    for pairs, kernel in groups:
+        for p in pairs.tolist():
+            got[p] = None if kernel is None else kernel.args[0].keywords
+    assert got == {0: {"kmax": 12}, 1: {"kmax": 18}, 2: {"kmax": 12}, 3: {"terms": 30},
+                   4: {"terms": 19}, 5: {"terms": 6}, 6: None, 7: None, 8: None, 9: None}
+    assert sorted(p for pairs, _ in groups for p in pairs.tolist()) == list(range(10))
+
+
 def test_asymptotic_depths_stop_before_the_smallest_term():
     # the terms of the large-argument expansion shrink while
     # |4 nu^2 - (2k-1)^2| / (8 k |z|) < 1; at each band's lower edge that
@@ -300,9 +354,8 @@ def test_one_band_arrays_skip_the_masks_and_keep_their_values(monkeypatch):
     assert np.array_equal(k0[dead], np.zeros(dead.sum()))
 
 
-# arguments of every band, the top one kept below Re z = 700, and band -1
-# for arrays that mix every band and the Re z > 700 flush
-_RADII = [0.01] + bessel._EDGES.tolist() + [700.0]
+# arguments of every band (from _RADII, the top one kept below Re z = 700),
+# and band -1 for arrays that mix every band and the Re z > 700 flush
 _SIZES = (1, 2, bessel._BLOCK - 1, bessel._BLOCK, bessel._BLOCK + 1, 33000)
 
 
@@ -331,3 +384,20 @@ def test_values_do_not_depend_on_the_array_size(b, seed, start):
         assert np.array_equal(bessel_k0(z[part]), k0[part]), size
     assert k0k1(z[start]) == (k0[start], k1[start])
     assert bessel_k0(z[start]) == k0[start]
+    if b < 0 or bessel._SR_KERNELS[b] is None:
+        return
+    # the band's factored kernel, for one s of the same |z| range and any
+    # phase, the same way: a value depends on its own R alone, whatever
+    # the length of the slice and its place, and K0 not on orders
+    m = rng.uniform(0.5, 50.0)
+    s = m * np.exp(1j * rng.uniform(-1.5699, 1.5699))
+    R = r / m
+    (pairs, kernel), = bessel.sr_kernels(s, np.array([R.min()]), np.array([R.max()]))
+    f0, f1 = kernel(R, 2)
+    assert np.array_equal(kernel(R, 1)[0], f0)
+    for size in _SIZES:
+        for offset in (0, 1, 7, 8, start):
+            part = slice(offset, offset + size)
+            got0, got1 = kernel(R[part], 2)
+            assert np.array_equal(got0, f0[part]) and np.array_equal(got1, f1[part]), size
+            assert np.array_equal(kernel(R[part], 1)[0], f0[part]), size
