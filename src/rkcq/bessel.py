@@ -59,10 +59,10 @@ evaluates every polynomial, and no argument pays for a complex log,
 sqrt, exp or division or for the band masks.  Other pairs take k0k1 (or
 bessel_k0) of s R.  Measured against mpmath at 30 digits, at s R as numpy
 rounds it, for s of seven phases up to arg s = +-(pi/2 - 1e-5): the
-factored series within 2.8e-15 on |z| <= 2 and 7.0e-14 on |z| <= 3, the
+factored series within 7.0e-15 on |z| <= 2 and 8.0e-14 on |z| <= 3, the
 factored asymptotic bands within 9.8e-16 at both edges of every band and
 inside it, the worst just above 16.5 (tests/test_bessel.py holds them to
-1e-14, 1e-13 and 2e-15).
+2e-14, 1e-13 and 2e-15).
 """
 
 import os

@@ -167,10 +167,11 @@ _S_PHASES = (0.0, 0.3, 1.0, -0.7, 1.5699, np.pi / 2 - 1e-5, -(np.pi / 2 - 1e-5))
 def test_factored_kernels_against_high_precision_reference(b):
     # each series and asymptotic band's kernel of s R with s factored out,
     # at both of the band's edges and inside it, for s of every phase: the
-    # asymptotic bands within _ASYM_BOUND, the series within 1e-14 on
-    # |z| <= 2 and 1e-13 on |z| <= 3 (the per-argument series' bound at its
-    # |z| = 3 switch), and k0k1(s R) within the same bound of both
-    bound = _ASYM_BOUND if b > len(bessel._SERIES_BANDS) else (1e-14, 1e-13)[b]
+    # asymptotic bands within _ASYM_BOUND, the series within 2e-14 on
+    # |z| <= 2 (7.0e-15 measured) and 1e-13 on |z| <= 3 (the per-argument
+    # series' bound at its |z| = 3 switch); k0k1(s R) is held to the same
+    # bound, so the two lie within twice the bound of each other
+    bound = _ASYM_BOUND if b > len(bessel._SERIES_BANDS) else (2e-14, 1e-13)[b]
     rng = np.random.default_rng(40 + b)
     lo, hi = _RADII[b], _RADII[b + 1]
     r = np.concatenate([[np.nextafter(lo, np.inf), hi], rng.uniform(lo, hi, 4)])
@@ -187,7 +188,7 @@ def test_factored_kernels_against_high_precision_reference(b):
             w0, w1 = _mp_k0k1(zi)
             for got, ref, want in ((a0, c0, w0), (a1, c1, w1)):
                 assert abs(got - want) / abs(want) < bound, (b, zi)
-                assert abs(got - ref) / abs(ref) < bound, (b, zi)
+                assert abs(got - ref) / abs(ref) < 2.0 * bound, (b, zi)
 
 
 def test_sr_kernels_pick_the_regime_of_each_pair():
