@@ -31,13 +31,16 @@ A planner (_quadrature_plan) groups the pairs of both kinds by the rule
 each frequency needs; each rule's s-independent geometry (distances,
 weight products and the double layer's normal factors, _tensor_rule) is
 built once and serves every frequency that needs it.  For each frequency,
-rkcq.bessel.sr_kernels groups a rule's pairs by the K0/K1 kernel that
-serves each pair's distances whole: pairs in the series or the asymptotic
-regime take a kernel of the real R with s factored out, and the other
-pairs' arguments s R go to K0/K1 in one call, which splits them by band;
-far pairs are stored nearest first, so a block of them spans a short range
-of |s| r.  One batched real matmul per group contracts the values with the
-weights.
+rkcq.bessel.sr_kernels gives each of a rule's pairs a K0/K1 kernel of the
+real distances R: a pair wholly in the series or the asymptotic regime
+takes that expansion with s factored out (within 8.0e-14 and 9.8e-16 of
+K0/K1 at s R), every other pair a per-argument kernel that factors s out
+of its series-band arguments (|s| R <= 3) and evaluates the Taylor-table
+and asymptotic-band ones at z = s R through this module's k0k1 or
+bessel_k0 (within 5e-15 and 2e-15).  Far pairs are stored nearest first,
+so a group of them is mostly a run of contiguous rows, read in place, and
+a block of them spans a short range of |s| r.  One batched real matmul per
+group contracts the values with the weights.
 """
 
 import hashlib
@@ -471,7 +474,11 @@ class _TensorRule(NamedTuple):
     R is |y - x| (p, g h), rmin and rmax its least and largest value per
     pair (p,); A holds the weights w_x w_y (p, 1, g h); D the weights of
     Kd_ij and Kd_ji (p, 2, g h), A n_j.(y - x)/R and -A n_i.(y - x)/R, or
-    None when Kd is not needed.
+    None when Kd is not needed.  All are C-contiguous, so a run of pairs
+    is a slice of each.  rmin and rmax pick the K0/K1 kernel of each pair
+    (rkcq.bessel.sr_kernels): the factored series where |s| rmax <= 3, the
+    factored asymptotic expansion where |s| rmin >= 16.5 and Re s rmax <=
+    700, else the per-argument kernel.
     """
 
     R: np.ndarray
@@ -507,16 +514,26 @@ def _tensor_rule(sides, t, w, with_kd):
     return _TensorRule(R, R.min(axis=1), R.max(axis=1), A.reshape(p, 1, -1), D)
 
 
+def _k_of_z(z, orders):
+    """K0 (orders 1) or K0 and K1 (orders 2) of complex z, through this
+    module's bessel_k0 and k0k1: the names perfbench/tracer.py wraps to
+    count the arguments that assembly evaluates at z = s R."""
+    return k0k1(z) if orders == 2 else (bessel_k0(z),)
+
+
 def _rule_values(s, rule, sel, with_kd):
     """V and (with_kd) (Kd_ij, Kd_ji) of the rule's pairs sel at frequency s.
 
-    rkcq.bessel.sr_kernels groups the pairs by the K0/K1 kernel that serves
-    each pair's distances whole: pairs in the series or the asymptotic
-    regime take a kernel of the real R with s factored out, the others one
-    k0k1 (or bessel_k0) call of s R, which splits them by band.  One
-    batched real matmul per group and output contracts the values, viewed
-    as float pairs, with the rule's weights.  Returns the (q,) values of V
-    and the (q, 2) values of Kd, None without with_kd.
+    rkcq.bessel.sr_kernels groups the pairs by the K0/K1 kernel of the real
+    R that serves them: a pair wholly in the series or the asymptotic regime
+    takes a kernel with s factored out, every other pair one that factors s
+    out of its series-band arguments and evaluates the rest at z = s R
+    through _k_of_z.  A group whose rows are contiguous (the whole rule, or
+    the nearest or farthest of its pairs: far rules hold their pairs
+    nearest first) reads R and the weights as slices of the rule, without
+    copies.  One batched real matmul per group and output contracts the
+    values, viewed as float pairs, with the weights.  Returns the (q,)
+    values of V and the (q, 2) values of Kd, None without with_kd.
     """
     idx = np.arange(len(rule.R))[sel]
     v = np.empty(idx.size, dtype=complex)
@@ -526,13 +543,11 @@ def _rule_values(s, rule, sel, with_kd):
         q, G = val.shape
         return (W @ val.view(float).reshape(q, G, 2)).view(complex)[..., 0]
 
-    for part, kernel in sr_kernels(s, rule.rmin[idx], rule.rmax[idx]):
+    for part, kernel in sr_kernels(s, rule.rmin[idx], rule.rmax[idx], _k_of_z):
         rows = idx[part]
-        R = rule.R[rows]
-        if kernel is not None:
-            vals = kernel(R, 1 + with_kd)
-        else:
-            vals = k0k1(s * R) if with_kd else (bessel_k0(s * R),)
+        if rows[-1] - rows[0] == rows.size - 1:  # rows ascend, so they are contiguous
+            rows = slice(rows[0], rows[-1] + 1)
+        vals = kernel(rule.R[rows], 1 + with_kd)
         v[part] = contract(rule.A[rows], vals[0])[:, 0] / (2.0 * np.pi)
         if with_kd:
             kd[part] = -s / (2.0 * np.pi) * contract(rule.D[rows], vals[1])

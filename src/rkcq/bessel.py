@@ -41,28 +41,39 @@ functions underflow to exactly 0, which is harmless for exponentially
 decaying kernels.
 
 Boundary-element assembly evaluates z = s R for one complex s and many
-real distances R, and sr_kernels(s, rmin, rmax) gives each pair of
-panels whose arguments all lie in one regime a kernel of s R with s
-factored out:
+real distances R, and sr_kernels(s, rmin, rmax, k_of_z) gives every pair
+of panels a kernel of the real R, picked from the pair's least and
+largest |s| R:
 
-* the series where |s| rmax <= 3, at the depth of the band of |s| rmax
-  (12 terms up to 2, else 18): each sum is a real polynomial in R^2 with
-  coefficients c_k (s^2/4)^k, and log z = log s + log R,
-* the asymptotic expansion where |s| rmin >= 16.5 (and Re s rmax <= 700),
-  at the depth of the band of |s| rmin, never fewer terms than any of its
-  arguments takes alone: each sum is a real polynomial in 1/R with
-  coefficients a_k s^(-k-1/2), and e^-z = e^(-Re s R) (cos(Im s R) -
-  i sin(Im s R)).
+* the series with s factored out where |s| rmax <= 3, at the depth of the
+  band of |s| rmax (12 terms up to 2, else 18): each sum is a real
+  polynomial in R^2 with coefficients c_k (s^2/4)^k, and log z = log s +
+  log R,
+* the asymptotic expansion with s factored out where |s| rmin >= 16.5
+  (and Re s rmax <= 700), at the depth of the band of |s| rmin, never
+  fewer terms than any of its arguments takes alone: each sum is a real
+  polynomial in 1/R with coefficients a_k s^(-k-1/2), and e^-z =
+  e^(-Re s R) (cos(Im s R) - i sin(Im s R)),
+* for every other pair (one that reaches the Taylor table's annulus or
+  Re z > 700, or spans regimes) a per-argument kernel that takes each
+  argument's band from |s| R through the block/band driver of k0k1: the
+  factored series at the argument's own band's depth up to |s| R = 3,
+  the Taylor table and the asymptotic bands at z = s R, with the values
+  k0k1(s R) gives, and zeros where Re s R > 700.
 
 One real matmul of the coefficients with the powers of R^2 or 1/R
-evaluates every polynomial, and no argument pays for a complex log,
-sqrt, exp or division or for the band masks.  Other pairs take k0k1 (or
-bessel_k0) of s R.  Measured against mpmath at 30 digits, at s R as numpy
-rounds it, for s of seven phases up to arg s = +-(pi/2 - 1e-5): the
-factored series within 7.0e-15 on |z| <= 2 and 8.0e-14 on |z| <= 3, the
-factored asymptotic bands within 9.8e-16 at both edges of every band and
-inside it, the worst just above 16.5 (tests/test_bessel.py holds them to
-2e-14, 1e-13 and 2e-15).
+evaluates every polynomial of a factored kernel, and no factored argument
+pays for a complex log, sqrt, exp or division or for the band masks.
+Measured against mpmath at 30 digits, at s R as numpy rounds it, for s of
+seven phases up to arg s = +-(pi/2 - 1e-5): the factored series within
+7.0e-15 on |z| <= 2 and 8.0e-14 on |z| <= 3, the factored asymptotic bands
+within 9.8e-16 at both edges of every band and inside it, the worst just
+above 16.5 (tests/test_bessel.py holds them to 2e-14, 1e-13 and 2e-15,
+and the per-argument kernel's series, table and asymptotic arguments to
+2e-14, 1e-13, 5e-15 and 2e-15).  The per-argument kernel leaves the
+asymptotic bands on z = s R: the factored expansion at each argument's
+own depth moved the table3 Gauss-5 N = 10 error by 1.2e-9, beyond its
+golden file's 1e-9 bound.
 """
 
 import os
@@ -247,46 +258,57 @@ def band(z):
     return np.where(z.real > 700.0, -1, np.searchsorted(_EDGES, np.abs(z)))
 
 
-# arguments per block of _bessel_k: every complex temporary of a block stays
+# arguments per block of _by_band: every complex temporary of a block stays
 # below 256 KiB (16384 values), where numpy starts to elide temporaries into
 # in-place operations with the operands swapped
 _BLOCK = 16000
 
 
-def _bessel_k(z, orders):
-    """K0 (orders 1) or K0 and K1 (orders 2) for Re z > 0, elementwise.
+def _by_band(x, orders, bounds, kernels):
+    """K0 (orders 1) or K0 and K1 (orders 2) over the flat array x by band
+    of |z|: the block/band driver of _bessel_k and of the kernels of s R.
 
-    The arguments go to the band kernels in blocks of _BLOCK: a block
-    whose arguments all lie in one band (and all at Re z <= 700) goes to
-    that band's kernel whole, any other block is split by band, with zeros
-    where Re z > 700.  A lone argument of a band is evaluated as a pair
-    (numpy rounds an in-place complex product of one element apart from
-    that of a longer array).  So every value depends on its argument
-    alone, not on the array it comes in, and each K0 value is computed by
-    the same operations whether or not K1 is asked for.
+    bounds(xb) gives |z| and Re z of a block of arguments, kernels[b](xm,
+    orders) the values of band b at the arguments xm.  The arguments go to
+    the band kernels in blocks of _BLOCK: a block whose arguments all lie
+    in one band (and all at Re z <= 700) goes to that band's kernel whole,
+    any other block is split by band, with zeros where Re z > 700.  A lone
+    argument of a band is evaluated as a pair (numpy rounds an in-place
+    complex product of one element apart from that of a longer array).
+    So every value depends on its argument alone, not on the array it
+    comes in.
     """
-    z = np.asarray(z, dtype=complex)
-    zf = np.atleast_1d(z).ravel()
-    if not (zf.real > 0).all():
-        raise ValueError("K0/K1 evaluation requires Re z > 0 and no NaN")
-    out = [np.zeros_like(zf) for _ in range(orders)]
-    for a in range(0, zf.size, _BLOCK):
-        zb = zf[a : a + _BLOCK]
-        az = np.abs(zb)
+    out = [np.zeros(x.size, dtype=complex) for _ in range(orders)]
+    for a in range(0, x.size, _BLOCK):
+        xb = x[a : a + _BLOCK]
+        az, re = bounds(xb)
         amin = az.min()
-        if np.isnan(amin):  # a NaN imaginary part
+        if not re.min() > 0.0 or np.isnan(amin):  # np.nan > 0 is False
             raise ValueError("K0/K1 evaluation requires Re z > 0 and no NaN")
         lo, hi = np.searchsorted(_EDGES, [amin, az.max()])
         masks = {lo: slice(None)}
-        if lo != hi or zb.real.max() > 700.0:
-            ids = np.where(zb.real <= 700.0, np.searchsorted(_EDGES, az), -1)
+        if lo != hi or re.max() > 700.0:
+            ids = np.where(re <= 700.0, np.searchsorted(_EDGES, az), -1)
             masks = {b: ids == b for b in range(lo, hi + 1)}
         for b, m in masks.items():
-            zm = zb[m]
-            if zm.size:
-                vals = _BAND_KERNELS[b](zm if zm.size > 1 else np.repeat(zm, 2), orders)
+            xm = xb[m]
+            if xm.size:
+                vals = kernels[b](xm if xm.size > 1 else np.repeat(xm, 2), orders)
                 for k, val in zip(out, vals):
-                    k[a : a + _BLOCK][m] = val[: zm.size]
+                    k[a : a + _BLOCK][m] = val[: xm.size]
+    return out
+
+
+def _bessel_k(z, orders):
+    """K0 (orders 1) or K0 and K1 (orders 2) for Re z > 0, elementwise.
+
+    _by_band takes the arguments to the band kernels, so every value
+    depends on its argument alone, and each K0 value is computed by the
+    same operations whether or not K1 is asked for.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = _by_band(np.atleast_1d(z).ravel(), orders, lambda zb: (np.abs(zb), zb.real),
+                   _BAND_KERNELS)
     if z.ndim == 0:
         return tuple(complex(k[0]) for k in out)
     return tuple(k.reshape(z.shape) for k in out)
@@ -405,26 +427,45 @@ def _k_sr(kernel, s, R, orders):
     return tuple(k.reshape(R.shape) for k in out)
 
 
-def sr_kernels(s, rmin, rmax):
+def _k_mixed(s, k_of_z, R, orders):
+    """K0 (orders 1) or K0 and K1 (orders 2) of s R, elementwise over the
+    real array R, each argument by the band of |s| R (_by_band): the series
+    bands through their factored kernel (12 terms up to |s| R = 2, else
+    18), the Taylor table and the asymptotic bands through k_of_z(s R,
+    orders), zeros where Re s R > 700."""
+    series = [partial(_k_sr, kernel, s) for kernel in _SR_KERNELS[: len(_SERIES_BANDS)]]
+    on_z = [lambda Rm, orders: k_of_z(s * Rm, orders)]
+    kernels = series + on_z * (len(_BAND_KERNELS) - len(series))
+    out = _by_band(R.ravel(), orders, lambda Rb: (abs(s) * Rb, s.real * Rb), kernels)
+    return tuple(k.reshape(R.shape) for k in out)
+
+
+def sr_kernels(s, rmin, rmax, k_of_z):
     """Split pairs by the K0/K1 kernel of z = s R that serves each pair's
     distances R, all within [rmin, rmax] (arrays over the pairs), for one
     frequency s, Re s > 0.
 
     Returns a list of (pairs, kernel), pairs an index array into rmin.
     kernel(R, orders) gives K0 (orders 1) or K0 and K1 (orders 2) of s R
-    for real R of those pairs; it is None for pairs whose arguments span
-    the Taylor table's annulus or more than one regime (and for those that
-    reach Re z > 700): those take k0k1 or bessel_k0 of s R.  A pair with
-    |s| rmax <= 3 takes the series with s factored out (depth 12 if
-    |s| rmax <= 2, else 18), a pair with |s| rmin >= 16.5 the asymptotic
-    expansion with s factored out, at the depth of the band of |s| rmin,
-    the deepest its arguments need.  Each value depends on s, the pair's
-    kernel and its own R alone, and a K0 value does not depend on orders.
+    for real R > 0 of those pairs.  A pair with |s| rmax <= 3 takes the
+    series with s factored out (depth 12 if |s| rmax <= 2, else 18), a pair
+    with |s| rmin >= 16.5 and Re s rmax <= 700 the asymptotic expansion
+    with s factored out, at the depth of the band of |s| rmin, the deepest
+    its arguments need.  Every other pair (one that reaches the Taylor
+    table's annulus or Re z > 700, or spans regimes) takes _k_mixed, which
+    picks each argument's band from |s| R: series-band arguments take the
+    factored series at their own band's depth, the others k_of_z(s R,
+    orders): _bessel_k, or a function that calls it (rkcq.bem passes one
+    that calls its module's k0k1 and bessel_k0, the names its benchmark's
+    tracer counts).  Each value depends on s,
+    the pair's kernel and its own R alone, and a K0 value does not depend
+    on orders.
     """
     s = complex(s)
     lo, hi = np.searchsorted(_EDGES, [abs(s) * rmin, abs(s) * rmax])
     series = len(_SERIES_BANDS)
     asym = (lo > series) & (s.real * rmax <= 700.0)
     key = np.where(hi < series, hi, np.where(asym, lo, -1))
-    return [(np.flatnonzero(key == b), partial(_k_sr, _SR_KERNELS[b], s) if b >= 0 else None)
+    return [(np.flatnonzero(key == b),
+             partial(_k_sr, _SR_KERNELS[b], s) if b >= 0 else partial(_k_mixed, s, k_of_z))
             for b in np.unique(key).tolist()]

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pickle
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkcq import bem, engine
-from rkcq.bessel import band, bessel_k0, bessel_k1, k0k1
+from rkcq.bessel import bessel_k0, bessel_k1, k0k1
 from rkcq.harness import preset_configs
 from rkcq.tableaux import gauss_tableau
 
@@ -427,37 +429,52 @@ def test_far_pair_order_does_not_change_a_bit(kind, seed):
 
 
 @pytest.mark.parametrize("with_kd", [True, False])
-def test_factored_pairs_skip_k0k1_and_the_rest_take_one_call(monkeypatch, with_kd):
-    # rkcq.bessel alone splits arguments by band: a pair whose arguments
-    # s R all lie in the series regime (|s R| <= 3) or the asymptotic one
-    # (|s R| >= 16.5, Re s R <= 700) takes a factored kernel and never
-    # reaches bem.k0k1 or bem.bessel_k0; each _rule_values call hands the
-    # arguments of all its other pairs to exactly one such call, also when
-    # they span several bands
+def test_each_group_makes_one_kernel_call(monkeypatch, with_kd):
+    # rkcq.bessel.sr_kernels gives every group of pairs a kernel of the
+    # real R, never None, and _rule_values calls it once per group with
+    # that group's rows.  Only the arguments that the per-argument kernel
+    # of a mixed pair leaves on z = s R (|s| R > 3, Re s R <= 700) reach
+    # bem.k0k1 or bem.bessel_k0: no argument of a pair wholly in the series
+    # or the asymptotic regime, and no series-band argument
     mesh = _MESHES[("l_shape", 32)]
-    calls, uses = [], []
+    calls, kernel_calls, uses = [], [], []
 
     def counted(fn):
         def wrapped(z):
-            calls.append(np.sort_complex(z.ravel()))
+            calls.append(z.ravel())
             return fn(z)
         return wrapped
 
+    def sr_kernels(s, rmin, rmax, k_of_z):
+        groups = real_sr(s, rmin, rmax, k_of_z)
+        assert all(callable(kernel) for _, kernel in groups)
+
+        def once(pairs, kernel):
+            def wrapped(R, orders):
+                assert R.shape[0] == pairs.size and orders == 1 + with_kd
+                kernel_calls.append(pairs)
+                return kernel(R, orders)
+            return wrapped
+        return [(pairs, once(pairs, kernel)) for pairs, kernel in groups]
+
     def rule_values(s, rule, sel, with_kd):
         calls.clear()
-        out = real(s, rule, sel, with_kd)
+        kernel_calls.clear()
+        out = real_rv(s, rule, sel, with_kd)
         R = rule.R[sel]
         zmin, zmax = abs(s) * R.min(axis=1), abs(s) * R.max(axis=1)
         factored = (zmax <= 3.0) | ((zmin >= 16.5) & (s.real * R.max(axis=1) <= 700.0))
-        uses.append((factored.sum(), list(calls)))
-        if factored.all():
-            assert not calls
-        else:
-            assert len(calls) == 1
-            assert np.array_equal(calls[0], np.sort_complex((s * R[~factored]).ravel()))
+        got = np.sort(np.concatenate(kernel_calls))
+        assert np.array_equal(got, np.arange(len(R))), "each pair in exactly one call"
+        Rm = R[~factored]
+        on_z = (abs(s) * Rm > 3.0) & (s.real * Rm <= 700.0)
+        want = np.unique(s * Rm[on_z])
+        assert np.array_equal(np.unique(np.concatenate(calls or [want[:0]])), want)
+        uses.append((factored.all(), (abs(s) * Rm <= 3.0).any(), on_z.any()))
         return out
 
-    real = bem._rule_values
+    real_sr, real_rv = bem.sr_kernels, bem._rule_values
+    monkeypatch.setattr(bem, "sr_kernels", sr_kernels)
     monkeypatch.setattr(bem, "_rule_values", rule_values)
     monkeypatch.setattr(bem, "k0k1", counted(bem.k0k1))
     monkeypatch.setattr(bem, "bessel_k0", counted(bem.bessel_k0))
@@ -466,10 +483,27 @@ def test_factored_pairs_skip_k0k1_and_the_rest_take_one_call(monkeypatch, with_k
         bem.assemble_pair(s, mesh)
     else:
         bem.assemble_V(s, mesh)
-    # some uses are wholly factored, some make one call, some do both, and
-    # some calls span three bands or more
-    assert any(f and not c for f, c in uses) and any(f and c for f, c in uses)
-    assert max(np.unique(band(c[0])).size for _, c in uses if c) >= 3
+    # some uses are wholly factored, and some mixed pairs have series-band
+    # arguments (kept off k0k1) beside arguments that reach it
+    assert any(whole for whole, _, _ in uses)
+    assert any(series and on_z for _, series, on_z in uses)
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # perfbench/tracer.py wraps rkcq functions by name (bem.k0k1,
+    # bem.bessel_k0, bem.assemble_pair, BemTransfer.__call__ and the
+    # harness, engine and stability layers); entering it looks up each one,
+    # and a name that is gone fails every traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as t:
+        patched = {(owner.__name__, name) for owner, name, _ in t._patches}
+        assert {("rkcq.bem", "k0k1"), ("rkcq.bem", "bessel_k0"), ("rkcq.bem", "assemble_pair"),
+                ("BemTransfer", "__call__")} <= patched
+        assert bem.k0k1 is not k0k1 and bem.bessel_k0 is not bessel_k0
+    assert bem.k0k1 is k0k1 and bem.bessel_k0 is bessel_k0
 
 
 def test_pair_plan_class_counts():

@@ -195,19 +195,72 @@ def test_sr_kernels_pick_the_regime_of_each_pair():
     # a pair whose |s| R lies within [0, 3] takes the series at the depth
     # of |s| rmax, within [16.5, 700] the asymptotic expansion at the depth
     # of |s| rmin; a pair that reaches the Taylor table, spans regimes or
-    # passes Re z = 700 takes no factored kernel
+    # passes Re z = 700 takes the per-argument kernel: every pair gets a
+    # kernel of R
     s = 3.0 + 4.0j
     # |s| = 5, Re s = 3: the bounds of |s| R and Re s R are 5 and 3 times these
     rmin = np.array([0.1, 0.1, 0.5, 17.0, 40.0, 600.0, 0.5, 3.0, 0.1, 1200.0]) / 5.0
     rmax = np.array([1.9, 2.9, 2.0, 60.0, 130.0, 1000.0, 4.0, 20.0, 100.0, 1300.0]) / 5.0
-    groups = bessel.sr_kernels(s, rmin, rmax)
+    groups = bessel.sr_kernels(s, rmin, rmax, bessel._bessel_k)
     got = {}
     for pairs, kernel in groups:
         for p in pairs.tolist():
-            got[p] = None if kernel is None else kernel.args[0].keywords
+            got[p] = "mixed" if kernel.func is bessel._k_mixed else kernel.args[0].keywords
     assert got == {0: {"kmax": 12}, 1: {"kmax": 18}, 2: {"kmax": 12}, 3: {"terms": 30},
-                   4: {"terms": 19}, 5: {"terms": 6}, 6: None, 7: None, 8: None, 9: None}
+                   4: {"terms": 19}, 5: {"terms": 6}, 6: "mixed", 7: "mixed", 8: "mixed",
+                   9: "mixed"}
     assert sorted(p for pairs, _ in groups for p in pairs.tolist()) == list(range(10))
+
+
+# the |z| at which the kernels of _BAND_KERNELS switch
+_BAND_EDGES = [2.0, 3.0, 16.5, 32.0, 64.0, 128.0, 512.0]
+
+
+def test_per_argument_kernel_of_R_against_high_precision_reference():
+    # the kernel of R that sr_kernels gives a pair not wholly in one regime
+    # takes each argument's band from |s| R.  On both sides of every band
+    # edge and inside the bands, for s of every phase: a series-band
+    # argument takes the factored series at its band's depth, held to its
+    # bounds (2e-14 up to |s| R = 2, 1e-13 up to 3); a table- or
+    # asymptotic-band argument equals k0k1(s R) bit for bit (1e-9 away from
+    # the edges, where |s| R and |s R| lie in one band) and is held to the
+    # table's 5e-15 or _ASYM_BOUND.  Each value is that of its argument
+    # alone, in an array that mixes every band, in one band's array and
+    # alone; K0 does not depend on orders; past Re s R = 700 both are zeros
+    rng = np.random.default_rng(44)
+    near = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    for phase in _S_PHASES:
+        s = rng.uniform(0.5, 50.0) * np.exp(1j * phase)
+        r = np.concatenate([np.outer(_BAND_EDGES, near).ravel(), rng.uniform(0.01, 700.0, 8)])
+        dead = np.array([700.5, 900.0, 3000.0]) / s.real
+        R = np.concatenate([r / abs(s), dead])
+        (pairs, kernel), = bessel.sr_kernels(s, np.array([R.min()]), np.array([R.max()]),
+                                             bessel._bessel_k)
+        assert kernel.func is bessel._k_mixed
+        k0, k1 = kernel(R, 2)
+        assert np.array_equal(kernel(R, 1)[0], k0)
+        assert not k0[r.size :].any() and not k1[r.size :].any()
+        bands = bessel.band(s * R)
+        assert np.array_equal(bands, np.where(s.real * R > 700.0, -1,
+                                              np.searchsorted(bessel._EDGES, abs(s) * R)))
+        assert set(bands[: r.size].tolist()) == set(range(len(bessel._BAND_KERNELS)))
+        z = s * R
+        q0, q1 = k0k1(z)
+        for zi, b, a0, a1, c0, c1 in zip(z, bands, k0, k1, q0, q1):
+            if b < 0:
+                continue
+            w0, w1 = _mp_k0k1(zi)
+            bound = (2e-14, 1e-13, 5e-15)[b] if b <= 2 else _ASYM_BOUND
+            for got, ref, want in ((a0, c0, w0), (a1, c1, w1)):
+                assert abs(got - want) / abs(want) < bound, (b, zi)
+                assert b < len(bessel._SERIES_BANDS) or got == ref, (b, zi)
+        for b in range(-1, len(bessel._BAND_KERNELS)):
+            one = bands == b
+            got0, got1 = kernel(R[one], 2)
+            assert np.array_equal(got0, k0[one]) and np.array_equal(got1, k1[one]), b
+        for i in range(R.size):
+            got0, got1 = kernel(R[i : i + 1], 2)
+            assert np.array_equal(got0, k0[i : i + 1]) and np.array_equal(got1, k1[i : i + 1])
 
 
 def test_asymptotic_depths_stop_before_the_smallest_term():
@@ -385,15 +438,16 @@ def test_values_do_not_depend_on_the_array_size(b, seed, start):
         assert np.array_equal(bessel_k0(z[part]), k0[part]), size
     assert k0k1(z[start]) == (k0[start], k1[start])
     assert bessel_k0(z[start]) == k0[start]
-    if b < 0 or bessel._SR_KERNELS[b] is None:
-        return
-    # the band's factored kernel, for one s of the same |z| range and any
-    # phase, the same way: a value depends on its own R alone, whatever
-    # the length of the slice and its place, and K0 not on orders
+    # the kernel of R that sr_kernels gives a pair of the same |z| range,
+    # for one s of any phase, the same way: the band's factored kernel, or
+    # the per-argument kernel for the table's band and for the mix of
+    # every band; a value depends on its own R alone, whatever the length
+    # of the slice and its place, and K0 not on orders
     m = rng.uniform(0.5, 50.0)
     s = m * np.exp(1j * rng.uniform(-1.5699, 1.5699))
     R = r / m
-    (pairs, kernel), = bessel.sr_kernels(s, np.array([R.min()]), np.array([R.max()]))
+    (pairs, kernel), = bessel.sr_kernels(s, np.array([R.min()]), np.array([R.max()]),
+                                         bessel._bessel_k)
     f0, f1 = kernel(R, 2)
     assert np.array_equal(kernel(R, 1)[0], f0)
     for size in _SIZES:
