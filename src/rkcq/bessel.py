@@ -346,16 +346,20 @@ def _real_poly(coef, x):
     """
     n = x.size
     X = np.empty((coef.shape[1], -(-n // 8) * 8))
-    X[0] = 1.0
-    X[1, :n], X[1, n:] = x, 1.0
-    for k in range(2, len(X)):
-        np.multiply(X[k - 1], X[1], out=X[k])
+    # the row views, made once: indexing X afresh for every power took a
+    # quarter of the loop's time
+    rows = list(X)
+    rows[0][:] = 1.0
+    rows[1][:n], rows[1][n:] = x, 1.0
+    for prev, row in zip(rows[1:], rows[2:]):
+        np.multiply(prev, rows[1], out=row)
     return (coef @ X)[:, :n]
 
 
 def _series_sr(s, orders, kmax):
-    """_series_k at z = s R for real R > 0, as a function of a block of R
-    giving (re, im) of K0 (orders 1) or of K0 and K1 (orders 2).
+    """_series_k at z = s R for real R > 0, as a function block(R, out) that
+    writes K0 (orders 1) or K0 and K1 (orders 2) at a block of R into the
+    complex arrays of out, real and imaginary parts in place.
 
     Each sum is a real polynomial in R^2 whose coefficients c_k (s^2/4)^k
     carry s, and log z = log s + log R.
@@ -365,22 +369,24 @@ def _series_sr(s, orders, kmax):
     lg = np.log(s) + (_EULER_GAMMA - np.log(2.0))
     inv = 1.0 / s
 
-    def block(R):
+    def block(R, out):
         ar, ai, br, bi, *cd = _real_poly(coef, R * R)
         lr, li = np.log(R) + lg.real, lg.imag
-        k0 = (br - (lr * ar - li * ai), bi - (lr * ai + li * ar))
+        np.subtract(br, lr * ar - li * ai, out=out[0].real)
+        np.subtract(bi, lr * ai + li * ar, out=out[0].imag)
         if orders == 1:
-            return (k0,)
+            return
         cr, ci, dr, di = cd
         tr, ti = lr * cr - li * ci - dr, lr * ci + li * cr - di
-        return k0, (inv.real / R + R * (s.real * tr - s.imag * ti),
-                    inv.imag / R + R * (s.real * ti + s.imag * tr))
+        np.add(inv.real / R, R * (s.real * tr - s.imag * ti), out=out[1].real)
+        np.add(inv.imag / R, R * (s.real * ti + s.imag * tr), out=out[1].imag)
     return block
 
 
 def _asym_sr(s, orders, terms):
-    """_asym_k at z = s R for real R > 0, as a function of a block of R
-    giving (re, im) of K0 (orders 1) or of K0 and K1 (orders 2).
+    """_asym_k at z = s R for real R > 0, as a function block(R, out) that
+    writes K0 (orders 1) or K0 and K1 (orders 2) at a block of R into the
+    complex arrays of out, real and imaginary parts in place.
 
     Each sum is a real polynomial in x = 1/R whose coefficients
     a_k s^(-k-1/2) carry s, and sqrt(1/z) e^-z = s^(-1/2) sqrt(x)
@@ -390,13 +396,15 @@ def _asym_sr(s, orders, terms):
     wk = np.sqrt(w) * np.concatenate([[1.0], np.cumprod(np.full(terms, w))])
     coef = _planar(_ASYM_COEF[terms][:orders] * wk)
 
-    def block(R):
+    def block(R, out):
         x = 1.0 / R
         sums = _real_poly(coef, x)
         pref = np.sqrt(x) * np.exp(-s.real * R)
         phase = s.imag * R
         c, sn = pref * np.cos(phase), pref * np.sin(phase)
-        return tuple((sr * c + si * sn, si * c - sr * sn) for sr, si in sums.reshape(orders, 2, -1))
+        for (sr, si), k in zip(sums.reshape(orders, 2, -1), out):
+            np.add(sr * c, si * sn, out=k.real)
+            np.subtract(si * c, sr * sn, out=k.imag)
     return block
 
 
@@ -421,9 +429,7 @@ def _k_sr(kernel, s, R, orders):
     rf = R.ravel()
     out = [np.empty(rf.size, dtype=complex) for _ in range(orders)]
     for a in range(0, rf.size, _SR_BLOCK):
-        for k, (re, im) in zip(out, block(rf[a : a + _SR_BLOCK])):
-            kb = k[a : a + _SR_BLOCK]
-            kb.real, kb.imag = re, im
+        block(rf[a : a + _SR_BLOCK], [k[a : a + _SR_BLOCK] for k in out])
     return tuple(k.reshape(R.shape) for k in out)
 
 
