@@ -463,9 +463,8 @@ def sr_kernels(s, rmin, rmax, k_of_z):
     factored series at their own band's depth, the others k_of_z(s R,
     orders): _bessel_k, or a function that calls it (rkcq.bem passes one
     that calls its module's k0k1 and bessel_k0, the names its benchmark's
-    tracer counts).  Each value depends on s,
-    the pair's kernel and its own R alone, and a K0 value does not depend
-    on orders.
+    tracer counts).  Each value depends on s, the pair's kernel and its
+    own R alone, and a K0 value does not depend on orders.
     """
     s = complex(s)
     lo, hi = np.searchsorted(_EDGES, [abs(s) * rmin, abs(s) * rmax])
