@@ -272,7 +272,8 @@ def _by_band(x, orders, bounds, kernels):
     orders) the values of band b at the arguments xm.  The arguments go to
     the band kernels in blocks of _BLOCK: a block whose arguments all lie
     in one band (and all at Re z <= 700) goes to that band's kernel whole,
-    any other block is split by band, with zeros where Re z > 700.  A lone
+    any other block is split by band, with zeros where Re z > 700; when one
+    band holds all of x, its kernel's arrays are returned as they are.  A lone
     argument of a band is evaluated as a pair (numpy rounds an in-place
     complex product of one element apart from that of a longer array).
     So every value depends on its argument alone, not on the array it
@@ -286,14 +287,23 @@ def _by_band(x, orders, bounds, kernels):
         if not re.min() > 0.0 or np.isnan(amin):  # np.nan > 0 is False
             raise ValueError("K0/K1 evaluation requires Re z > 0 and no NaN")
         lo, hi = np.searchsorted(_EDGES, [amin, az.max()])
+        dead = re.max() > 700.0
         masks = {lo: slice(None)}
-        if lo != hi or re.max() > 700.0:
-            ids = np.where(re <= 700.0, np.searchsorted(_EDGES, az), -1)
+        if lo != hi or dead:
+            # np.searchsorted(_EDGES, az) from the edges between lo and hi
+            # alone, a few times cheaper than a binary search per argument
+            ids = np.full(xb.size, lo, dtype=np.int8)
+            for edge in _EDGES[lo:hi]:
+                ids += az > edge
+            if dead:
+                ids[re > 700.0] = -1
             masks = {b: ids == b for b in range(lo, hi + 1)}
         for b, m in masks.items():
             xm = xb[m]
             if xm.size:
                 vals = kernels[b](xm if xm.size > 1 else np.repeat(xm, 2), orders)
+                if xm.size == x.size:  # one band holds all of x: no copy
+                    return [val[: x.size] for val in vals]
                 for k, val in zip(out, vals):
                     k[a : a + _BLOCK][m] = val[: xm.size]
     return out
