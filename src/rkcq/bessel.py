@@ -215,21 +215,29 @@ def _table_k(z, orders):
     x, y = z.real, np.abs(z.imag)
     ix = (x * (1.0 / _CELL)).astype(np.intp)
     iy = (y * (1.0 / _CELL) + 0.5).astype(np.intp)
-    t = (x - (ix + 0.5) * _CELL) + 1j * (y - iy * _CELL)
+    # t written part by part: x + 1j * y takes a complex product per value
+    t = np.empty(z.shape, dtype=complex)
+    np.subtract(x, (ix + 0.5) * _CELL, out=t.real)
+    np.subtract(y, iy * _CELL, out=t.imag)
     cell = ix * _CELLS + iy
     p = coef[-1].take(cell)
-    d = np.zeros_like(p) if orders == 2 else None
-    for row in coef[-2::-1]:
-        if d is not None:
+    # d after its first step, 0 t + p = p (the table's zero parts are +0)
+    d = p.copy() if orders == 2 else None
+    for k, row in enumerate(coef[-2::-1]):
+        if d is not None and k:
             d *= t
             d += p
         p *= t
         p += row.take(cell)
-    below = z.imag < 0
-    vals = (p,) if d is None else (p, np.negative(d, out=d))
-    for val in vals:
-        np.conjugate(val, out=val, where=below)
-    return vals
+    # conjugate below the real axis by the sign of the imaginary parts
+    # (cheaper than a masked np.conjugate), K1 = -K0'
+    sign = np.where(z.imag < 0, -1.0, 1.0)
+    p.imag *= sign
+    if d is None:
+        return (p,)
+    np.negative(d.real, out=d.real)
+    d.imag *= -sign
+    return p, d
 
 
 # every band of the three regimes, in the order of band's index: the
@@ -272,14 +280,17 @@ def _by_band(x, orders, bounds, kernels):
     orders) the values of band b at the arguments xm.  The arguments go to
     the band kernels in blocks of _BLOCK: a block whose arguments all lie
     in one band (and all at Re z <= 700) goes to that band's kernel whole,
-    any other block is split by band, with zeros where Re z > 700; when one
-    band holds all of x, its kernel's arrays are returned as they are.  A lone
-    argument of a band is evaluated as a pair (numpy rounds an in-place
-    complex product of one element apart from that of a longer array).
-    So every value depends on its argument alone, not on the array it
-    comes in.
+    any other block is split by band, with zeros where Re z > 700.  When
+    one band holds all of x, its kernel's arrays are returned uncopied.  A
+    lone argument of a band is evaluated as a pair (numpy rounds an
+    in-place complex product of one element apart from that of a longer
+    array).  So every value depends on its argument alone, not on the
+    array it comes in.
     """
-    out = [np.zeros(x.size, dtype=complex) for _ in range(orders)]
+    def zeros():
+        return [np.zeros(x.size, dtype=complex) for _ in range(orders)]
+
+    out = None  # made when a first block is split
     for a in range(0, x.size, _BLOCK):
         xb = x[a : a + _BLOCK]
         az, re = bounds(xb)
@@ -304,9 +315,10 @@ def _by_band(x, orders, bounds, kernels):
                 vals = kernels[b](xm if xm.size > 1 else np.repeat(xm, 2), orders)
                 if xm.size == x.size:  # one band holds all of x: no copy
                     return [val[: x.size] for val in vals]
+                out = out or zeros()
                 for k, val in zip(out, vals):
                     k[a : a + _BLOCK][m] = val[: xm.size]
-    return out
+    return out or zeros()
 
 
 def _bessel_k(z, orders):
@@ -362,7 +374,7 @@ def _real_poly(coef, x):
     rows[0][:] = 1.0
     rows[1][:n], rows[1][n:] = x, 1.0
     for prev, row in zip(rows[1:], rows[2:]):
-        np.multiply(prev, rows[1], out=row)
+        np.multiply(prev, rows[1], row)
     return (coef @ X)[:, :n]
 
 
