@@ -221,7 +221,8 @@ def _table_k(z, orders):
     np.subtract(y, iy * _CELL, out=t.imag)
     cell = ix * _CELLS + iy
     p = coef[-1].take(cell)
-    # d after its first step, 0 t + p = p (the table's zero parts are +0)
+    # d after its first step: 0 t + p is p bit for bit, as the table's last
+    # row holds no -0
     d = p.copy() if orders == 2 else None
     for k, row in enumerate(coef[-2::-1]):
         if d is not None and k:
